@@ -13,7 +13,6 @@ from .lowerbound import (
     BoundMethod,
     ClassSpec,
     LowerBoundResult,
-    equal_variance_midpoint,
     first_moment_bound,
     lower_bound,
     objective,
@@ -71,7 +70,6 @@ __all__ = [
     "build_hankel",
     "build_witness",
     "discrete_bayes_error",
-    "equal_variance_midpoint",
     "first_moment_bound",
     "gaussian_pair_bayes_error",
     "is_feasible",

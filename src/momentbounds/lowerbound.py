@@ -2,14 +2,16 @@
 
 The bound forces every class-conditional distribution to carry a common Dirac
 mass at a shared location ``delta``. The largest mass class ``i`` can spare is
-its overlap fraction ``f_i(delta) = sigma_i^2 / (sigma_i^2 + (delta - mean_i)^2)``
-when only two (or three) moments are known, or the exact shared-mass supremum
-of the shifted sequence when more moments constrain it. The certified bound is
+``eps_i(delta)``, the value of its ``moments.shared_mass`` map: the overlap
+fraction ``sigma_i^2 / (sigma_i^2 + (delta - mean_i)^2)`` when two (or three)
+moments are known, the Christoffel function of its Hankel matrix when more
+moments constrain it. The certified bound is
 
     sum_i p_i * eps_i - max_i p_i * eps_i
 
-maximized over the shared location. For two equally likely classes the optimal
-location has a closed form; otherwise a grid plus golden-section search is used.
+maximized over the shared location. For two equally likely classes with at
+most three moments the optimal location has a closed form; otherwise a grid
+plus golden-section search is used.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from enum import Enum
 import numpy as np
 
 from . import moments as mm
-from ._search import golden_max, grid_golden_max
+from ._search import grid_golden_max
 from .errors import InfeasibleSequenceError
 
-#: number of scan points for the shift search on closed-form objectives.
+#: number of scan points for the shift search.
 GRID_POINTS = 10_001
-
-#: scan points for the n >= 4 search, where every evaluation runs one
-#: feasibility bisection per class.
-GRID_POINTS_HIGHER = 401
 
 _PRIOR_SUM_TOL = 1e-12
 _PRIOR_EQ_TOL = 1e-12
@@ -111,28 +109,19 @@ def overlap_fraction(c: ClassSpec, delta: float) -> float:
     Equals sigma^2 / (sigma^2 + (delta - gamma1)^2); a zero-variance class
     contributes 1 exactly at its mean and 0 elsewhere.
     """
-    s2 = max(c.sigma2, 0.0)
-    if s2 == 0.0:
-        return 1.0 if delta == c.gamma1 else 0.0
-    gap = delta - c.gamma1
-    return s2 / (s2 + gap * gap)
+    return float(mm.shared_mass(c.moment_sequence(2))(delta))
 
 
-def _weighted_profile(classes, deltas: np.ndarray) -> np.ndarray:
-    """Matrix of p_i * f_i(delta), shape (G, len(deltas))."""
-    rows = []
-    for c in classes:
-        s2 = max(c.sigma2, 0.0)
-        gap2 = (deltas - c.gamma1) ** 2
-        if s2 == 0.0:
-            rows.append(np.where(gap2 == 0.0, c.prior, 0.0))
-        else:
-            rows.append(c.prior * s2 / (s2 + gap2))
-    return np.vstack(rows)
+def _two_moment_masses(classes) -> list[mm.SharedMass]:
+    return [mm.shared_mass(c.moment_sequence(2)) for c in classes]
 
 
-def _objective_vec(classes, deltas: np.ndarray) -> np.ndarray:
-    w = _weighted_profile(classes, deltas)
+def _objective_vec(classes, deltas: np.ndarray, masses=None) -> np.ndarray:
+    """sum - max of p_i * eps_i(delta) at each delta; ``masses`` holds the
+    classes' shared-mass maps and defaults to their two-moment ones."""
+    if masses is None:
+        masses = _two_moment_masses(classes)
+    w = np.vstack([m(deltas, c.prior) for c, m in zip(classes, masses)])
     return w.sum(axis=0) - w.max(axis=0)
 
 
@@ -174,25 +163,31 @@ def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec) -> float:
     return float(max(inside, key=lambda x: objective([c1, c2], x)))
 
 
-def optimal_shift_numeric(classes) -> float:
+def optimal_shift_numeric(classes, masses=None) -> float:
     """Shift maximizing the objective, located by grid scan plus refinement.
 
+    ``masses`` are the classes' shared-mass maps (default: two-moment ones).
     Scans 10,001 points on [min mean - 10 max sd, max mean + 10 max sd] with
-    the class means appended as candidates, then refines the best bracket by
-    golden section to width 1e-10. When every class is a point mass the means
-    themselves are the only informative candidates.
+    the class means and the atoms of singular classes appended as candidates,
+    then refines the best bracket by golden section to width 1e-10. When
+    every class is a point mass the candidates themselves are the only
+    informative points.
     """
     classes = list(classes)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
+    if masses is None:
+        masses = _two_moment_masses(classes)
     means = [c.gamma1 for c in classes]
+    cands = means + [x for m in masses for x, _ in m.atoms]
     smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
     if smax == 0.0:
-        return float(max(means, key=lambda d: objective(classes, d)))
+        vals = _objective_vec(classes, np.array(cands), masses)
+        return float(cands[int(np.argmax(vals))])
     lo = min(means) - 10.0 * smax
     hi = max(means) + 10.0 * smax
-    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d), lo, hi,
-                           num=GRID_POINTS, width=1e-10, extra=means)
+    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, masses), lo, hi,
+                           num=GRID_POINTS, width=1e-10, extra=cands)
     return float(x)
 
 
@@ -210,25 +205,6 @@ def first_moment_bound(priors) -> tuple[float, bool]:
     return 1.0 - max(p), False
 
 
-def equal_variance_midpoint(classes) -> float:
-    """Optimal shared location when all variances and priors are equal.
-
-    The overlap fractions are then translates of one another and the smallest
-    of them is maximized at the midpoint of the extreme means.
-    """
-    classes = list(classes)
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    priors = [c.prior for c in classes]
-    if max(priors) - min(priors) > _PRIOR_EQ_TOL:
-        raise ValueError("requires equal class priors")
-    sig2 = [c.sigma2 for c in classes]
-    if max(sig2) - min(sig2) > 1e-12 * max(1.0, max(abs(s) for s in sig2)):
-        raise ValueError("requires equal class variances")
-    means = [c.gamma1 for c in classes]
-    return 0.5 * (min(means) + max(means))
-
-
 def _validate_problem(classes, n_moments: int) -> None:
     if len(classes) < 2:
         raise ValueError("need at least two classes")
@@ -242,14 +218,30 @@ def _validate_problem(classes, n_moments: int) -> None:
             raise ValueError(f"class {i} provides only {c.n_moments} moments")
 
 
+def _check_class(i: int, c: ClassSpec, n_moments: int, tol: float) -> None:
+    """Raise InfeasibleSequenceError when class ``i``'s moments admit no
+    distribution. For two moments feasibility is sigma^2 >= 0 (within tol)."""
+    if n_moments == 2:
+        if c.sigma2 >= -tol * (1.0 + c.gamma2):
+            return
+        reason = mm.FeasibilityReason.NOT_PSD
+    else:
+        verdict = mm.is_feasible(c.moment_sequence(n_moments), tol)
+        if verdict.feasible:
+            return
+        reason = verdict.reason
+    raise InfeasibleSequenceError(
+        f"class {i} moment sequence is infeasible ({reason.value})")
+
+
 def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBoundResult:
     """Certified lower bound on the supremum Bayes error.
 
     ``n_moments`` selects how much of each class's moment data is used:
-    1 uses only the means (bound 1 - max prior), 2 and 3 use the overlap
-    fractions (the three-moment value coincides with the two-moment one but
-    the supremum is no longer attained), and 4+ evaluates the exact
-    shared-mass supremum of each shifted sequence on the search grid.
+    1 uses only the means (bound 1 - max prior); 2 and more use each class's
+    ``moments.shared_mass`` map of that order at the shared location. The
+    three-moment value coincides with the two-moment one, and from three
+    moments on the supremum is no longer attained.
 
     Raises InfeasibleSequenceError when some class's own moments admit no
     distribution.
@@ -262,70 +254,22 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         eps = tuple(1.0 for _ in classes)
         return LowerBoundResult(value, 0.0, eps, False, BoundMethod.FIRST_MOMENT)
     for i, c in enumerate(classes):
-        verdict = mm.is_feasible(c.moment_sequence(n_moments), tol)
-        if not verdict.feasible:
-            raise InfeasibleSequenceError(
-                f"class {i} moment sequence is infeasible ({verdict.reason.value})")
+        _check_class(i, c, n_moments, tol)
+    masses = [mm.shared_mass(c.moment_sequence(n_moments), tol) for c in classes]
     equal_p = max(priors) - min(priors) <= _PRIOR_EQ_TOL
-    if n_moments in (2, 3):
-        if len(classes) == 2 and equal_p:
-            delta = optimal_shift_two_class(classes[0], classes[1])
-            s1, s2 = max(classes[0].sigma2, 0.0), max(classes[1].sigma2, 0.0)
-            equal_var = abs(s2 - s1) <= 1e-9 * max(s1, s2, 1e-300)
-            method = BoundMethod.MIDPOINT if equal_var else BoundMethod.CLOSED_FORM_G2
-        else:
-            delta = optimal_shift_numeric(classes)
-            method = BoundMethod.NUMERIC
-        eps = tuple(overlap_fraction(c, delta) for c in classes)
-        weighted = [c.prior * e for c, e in zip(classes, eps)]
-        value = max(sum(weighted) - max(weighted), 0.0)
-        if n_moments == 3:
-            attained = False
-        else:
-            # the supremum fails exactly when some class must give up all its
-            # mass while keeping positive variance (shifted mean zero)
-            attained = all(e < 1.0 or max(c.sigma2, 0.0) == 0.0
-                           for c, e in zip(classes, eps))
-        return LowerBoundResult(float(value), float(delta), eps, attained, method)
-
-    # n_moments >= 4: every candidate shift pays one bisection per class
-    seqs = [c.moment_sequence(n_moments) for c in classes]
-
-    def eps_at(delta: float, width: float) -> list[float]:
-        out = []
-        for c, s in zip(classes, seqs):
-            if max(c.sigma2, 0.0) == 0.0:
-                out.append(overlap_fraction(c, delta))
-                continue
-            shifted = mm.shift_moments(s, delta)
-            shifted[0] = 1.0
-            e, _ = mm.max_shared_mass(shifted, tol, bisect_width=width)
-            out.append(e)
-        return out
-
-    def obj(delta: float, width: float = 1e-6) -> float:
-        w = [c.prior * e for c, e in zip(classes, eps_at(delta, width))]
-        return sum(w) - max(w)
-
-    means = [c.gamma1 for c in classes]
-    smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
-    if smax == 0.0:
-        delta = float(max(means, key=lambda d: obj(d, 1e-12)))
+    if n_moments <= 3 and len(classes) == 2 and equal_p:
+        delta = optimal_shift_two_class(classes[0], classes[1])
+        s1, s2 = max(classes[0].sigma2, 0.0), max(classes[1].sigma2, 0.0)
+        equal_var = abs(s2 - s1) <= 1e-9 * max(s1, s2, 1e-300)
+        method = BoundMethod.MIDPOINT if equal_var else BoundMethod.CLOSED_FORM_G2
     else:
-        two_moment = lower_bound(classes, 2, tol)
-        lo = min(means) - 10.0 * smax
-        hi = max(means) + 10.0 * smax
-        xs = np.linspace(lo, hi, GRID_POINTS_HIGHER)
-        cands = np.unique(np.concatenate(
-            [xs, np.clip(np.array(means + [two_moment.delta_star]), lo, hi)]))
-        vals = [obj(float(x)) for x in cands]
-        i = int(np.argmax(vals))
-        a = cands[i - 1] if i > 0 else cands[0]
-        b = cands[i + 1] if i + 1 < cands.size else cands[-1]
-        delta, _ = golden_max(lambda d: obj(d, 1e-9), float(a), float(b), width=1e-9)
-        if obj(float(cands[i])) > obj(delta, 1e-9):
-            delta = float(cands[i])
-    eps = tuple(eps_at(delta, mm.BISECTION_WIDTH))
+        delta = optimal_shift_numeric(classes, masses)
+        method = BoundMethod.NUMERIC
+    eps = tuple(float(m(delta)) for m in masses)
     weighted = [c.prior * e for c, e in zip(classes, eps)]
     value = max(sum(weighted) - max(weighted), 0.0)
-    return LowerBoundResult(float(value), float(delta), eps, False, BoundMethod.NUMERIC)
+    # with two moments the supremum fails exactly when some class must give
+    # up all its mass while keeping positive variance (shifted mean zero)
+    attained = n_moments == 2 and all(e < 1.0 or max(c.sigma2, 0.0) == 0.0
+                                      for c, e in zip(classes, eps))
+    return LowerBoundResult(float(value), float(delta), eps, attained, method)

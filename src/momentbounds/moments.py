@@ -4,7 +4,7 @@ A moment sequence is a plain list ``[g0, g1, ..., gn]`` of raw moments of a
 positive (sub-probability) measure; ``g0`` is the total mass and may be less
 than 1. This module decides whether such a list belongs to *some* measure
 (the classical Hankel-matrix conditions), finds the largest Dirac mass that
-can be carved out at the origin while keeping the remainder feasible, shifts
+can be carved out at a location while keeping the remainder feasible, shifts
 sequences under translation of the underlying measure, and reconstructs small
 atomic measures from their moments.
 
@@ -13,6 +13,12 @@ sequence, feasibility requires ``A(k)`` positive semidefinite together with a
 parity-dependent condition: for odd ``n`` the trailing moment column must lie
 in the range of ``A(k)``, for even ``n`` the sequence rank must equal the
 matrix rank. All checks are numerical with scale-relative tolerances.
+
+The largest Dirac mass a probability sequence allows at a location ``delta``
+is the Christoffel function ``1 / (v^T A(k)^-1 v)`` with
+``v = (1, delta, ..., delta^k)``; for odd ``n`` it is a supremum that is not
+attained (Akhiezer, *The Classical Moment Problem*, 1965; Karlin & Studden,
+*Tchebycheff Systems*, 1966). ``shared_mass`` returns it as a vectorized map.
 """
 
 from __future__ import annotations
@@ -30,15 +36,6 @@ from .errors import InfeasibleSequenceError, SingularRecoveryError, UnsupportedR
 #: tol*largest, and range membership allows a residual of tol*(1+||v||).
 DEFAULT_TOL = 1e-9
 
-#: tolerance for the feasibility probes inside the shared-mass bisection.
-#: The verdict slack of DEFAULT_TOL would let the bisection overshoot the true
-#: boundary by a few 1e-9; probing near machine scale keeps the located
-#: supremum within ~1e-12 of the exact value.
-BISECTION_PROBE_TOL = 1e-12
-
-#: absolute width at which the shared-mass bisection stops.
-BISECTION_WIDTH = 1e-12
-
 
 class FeasibilityReason(str, Enum):
     OK = "OK"
@@ -55,11 +52,6 @@ class HankelSystem:
     k: int
     matrix: np.ndarray
     extra: np.ndarray | None = None
-
-    @property
-    def columns(self):
-        """Columns v_0 .. v_k of A(k)."""
-        return [self.matrix[:, j] for j in range(self.k + 1)]
 
 
 @dataclass(frozen=True)
@@ -204,23 +196,89 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     return FeasibilityVerdict(False, FeasibilityReason.RANK_MISMATCH, rank_a, rank_g)
 
 
-def max_shared_mass(seq, tol: float = DEFAULT_TOL, *,
-                    bisect_width: float = BISECTION_WIDTH) -> tuple[float, bool]:
-    """Largest Dirac mass at the origin compatible with a probability sequence.
+@dataclass(frozen=True, eq=False)
+class SharedMass:
+    """The map delta -> largest Dirac mass a probability sequence allows at delta.
 
-    ``seq`` must start with g0 = 1 and be feasible. Returns the supremum
-    ``eps`` such that [1-eps, g1, ..., gn] is still feasible, together with a
-    flag telling whether the supremum itself is attained.
+    With k = 1 (two or three moments) the value is
+    sigma^2 / (sigma^2 + (delta - mean)^2).
+    For k >= 2 it is the Christoffel function 1 / |L^-1 v|^2, where L is the
+    Cholesky factor of A(k) in the frame t = (delta - mean) / sigma and
+    v = (1, t, ..., t^k); ``inv_chol`` holds L^-1. A sequence whose A(k) is
+    singular has a single representing measure with at most k atoms:
+    ``atoms`` lists them, and the mass is an atom's weight at that atom and 0
+    elsewhere.
+    """
 
-    For two moments the supremum is 1 - g1^2/g2 and is attained unless
-    g1 = 0 (the boundary sequence then fails the rank condition). With a
-    third moment the value is the same but only approachable. For n >= 4 the
-    boundary is located by bisection to ``bisect_width`` and attainment is
-    reported as False. Degenerate variance (a point mass) yields 0.
+    mean: float
+    var: float
+    inv_chol: np.ndarray | None = None
+    atoms: tuple[tuple[float, float], ...] = ()
+
+    def __call__(self, deltas, scale: float = 1.0) -> np.ndarray:
+        """``scale`` times the mass at each delta, same shape as ``deltas``."""
+        d = np.asarray(deltas, dtype=float)
+        if self.atoms:
+            out = np.zeros(d.shape)
+            for x, w in self.atoms:
+                out = np.where(d == x, scale * w, out)
+            return out
+        if self.inv_chol is None:
+            return scale * self.var / (self.var + (d - self.mean) ** 2)
+        t = (d - self.mean) / math.sqrt(self.var)
+        w = np.vander(t.ravel(), self.inv_chol.shape[0], increasing=True) @ self.inv_chol.T
+        return (scale / np.einsum("ij,ij->i", w, w)).reshape(d.shape)
+
+
+def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
+    """Largest Dirac mass at each location compatible with a probability sequence.
+
+    ``seq`` is [1, g1, ..., gn] with n >= 2; only g0 .. g2k enter, k = n // 2.
+    The sequence is standardized by its own mean and standard deviation once,
+    here, so each evaluation of the returned map costs one small triangular
+    product. A(k) counts as singular when its smallest eigenvalue is at most
+    ``tol`` times its largest; a point mass is the one-atom case.
     """
     g = _as_sequence(seq)
-    n = g.size - 1
-    if n < 2:
+    k = (g.size - 1) // 2
+    if k < 1:
+        raise ValueError("need at least the first and second moments")
+    mean = float(g[1])
+    var = max(float(g[2]) - mean * mean, 0.0)
+    if var == 0.0:
+        return SharedMass(mean, 0.0, atoms=((mean, 1.0),))
+    if k == 1:
+        return SharedMass(mean, var)
+    sd = math.sqrt(var)
+    h = np.array(shift_moments(g[:2 * k + 1], mean)) / sd ** np.arange(2 * k + 1)
+    a = build_hankel(h).matrix
+    for r in range(2, k + 1):  # the standardized A(1) is the identity
+        eigs = np.linalg.eigvalsh(a[:r + 1, :r + 1])
+        if eigs[0] <= tol * eigs[-1]:
+            break
+    else:
+        return SharedMass(mean, var, inv_chol=np.linalg.inv(np.linalg.cholesky(a)))
+    # A(r) is singular, A(r-1) is not: the measure has r atoms, the roots of
+    # the degree-r orthogonal polynomial
+    coef = np.linalg.solve(a[:r, :r], -h[r:2 * r])
+    t = np.sort(np.roots(np.concatenate(([1.0], coef[::-1]))).real)
+    w = np.linalg.solve(np.vander(t, r, increasing=True).T, h[:r])
+    return SharedMass(mean, var, atoms=tuple(
+        (mean + sd * float(x), float(m)) for x, m in zip(t, w)))
+
+
+def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
+    """Largest Dirac mass at the origin compatible with a probability sequence.
+
+    ``seq`` must start with g0 = 1 and be feasible. Returns ``shared_mass`` at
+    0, the supremum ``eps`` such that [1-eps, g1, ..., gn] is still feasible,
+    together with a flag telling whether the supremum itself is attained:
+    with two moments it is unless g1 = 0 (the boundary sequence then fails the
+    rank condition), with three or more it is only approachable. A point mass
+    attains its value.
+    """
+    g = _as_sequence(seq)
+    if g.size < 3:
         raise ValueError("need at least the first and second moments")
     if abs(g[0] - 1.0) > 1e-12:
         raise ValueError("shared-mass query expects a probability sequence (g0 = 1)")
@@ -228,31 +286,8 @@ def max_shared_mass(seq, tol: float = DEFAULT_TOL, *,
     if not full.feasible:
         raise InfeasibleSequenceError(
             f"moment sequence is itself infeasible ({full.reason.value})")
-    g1, g2 = float(g[1]), float(g[2])
-    if g2 - g1 * g1 <= 0.0:
-        return 0.0, True
-    if n == 2:
-        eps = min(max(1.0 - g1 * g1 / g2, 0.0), 1.0)
-        return eps, bool(g1 != 0.0)
-    if n == 3:
-        return min(max(1.0 - g1 * g1 / g2, 0.0), 1.0), False
-
-    work = g.copy()
-
-    def feasible_at(eps: float) -> bool:
-        work[0] = 1.0 - eps
-        return is_feasible(work, BISECTION_PROBE_TOL).feasible
-
-    if feasible_at(1.0):
-        return 1.0, False
-    lo, hi = 0.0, 1.0
-    while hi - lo > bisect_width:
-        mid = 0.5 * (lo + hi)
-        if feasible_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), False
+    mass = shared_mass(g, tol)
+    return float(mass(0.0)), bool(mass.var == 0.0 or (g.size == 3 and g[1] != 0.0))
 
 
 def shift_moments(seq, delta: float) -> list[float]:

@@ -22,6 +22,12 @@ ATOM_MERGE_TOL = 1e-12
 #: default distance backed off from an unattained shared-mass supremum.
 DEFAULT_BACKOFF = 1e-9
 
+#: feasibility and recovery tolerance for residuals of three or more moments.
+#: Residuals backed off from a supremum mix masses near the back-off distance
+#: with order-one moments; probing near machine scale keeps the rank tests
+#: meaningful at condition numbers beyond 1/DEFAULT_TOL.
+RECOVERY_TOL = 1e-12
+
 #: verified witnesses never put less residual mass than this next to the
 #: shared atom: below it the residual Hankel data is too ill-conditioned for
 #: double precision, and the error deficit it costs (at most the margin)
@@ -73,11 +79,7 @@ def build_witness(classes, delta_star: float, epsilons,
         if len(residual) == 3:
             raw = _two_moment_residual_atoms(residual, eps, tol)
         else:
-            # residuals backed off from a supremum mix masses near the
-            # back-off distance with order-one moments; the tighter probe
-            # tolerance keeps the rank tests meaningful at condition numbers
-            # beyond 1/tol
-            rec_tol = min(tol, mm.BISECTION_PROBE_TOL)
+            rec_tol = min(tol, RECOVERY_TOL)
             verdict = mm.is_feasible(residual, rec_tol)
             if not verdict.feasible:
                 raise InfeasibleSequenceError(
