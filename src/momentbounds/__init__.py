@@ -34,14 +34,7 @@ from .moments import (
     sequence_rank,
     shift_moments,
 )
-from .upperbound import (
-    HalfLine,
-    UpperBoundResult,
-    linear_boundary_worst_error,
-    trivial_upper_bound,
-    upper_bound,
-    worst_case_halfline_prob,
-)
+from .upperbound import UpperBoundResult, trivial_upper_bound, upper_bound
 from .witness import (
     WitnessReport,
     build_witness,
@@ -59,7 +52,6 @@ __all__ = [
     "FeasibilityReason",
     "FeasibilityVerdict",
     "GaussianPair",
-    "HalfLine",
     "HankelSystem",
     "InfeasibleSequenceError",
     "LowerBoundResult",
@@ -73,7 +65,6 @@ __all__ = [
     "first_moment_bound",
     "gaussian_pair_bayes_error",
     "is_feasible",
-    "linear_boundary_worst_error",
     "lower_bound",
     "max_shared_mass",
     "moments_of",
@@ -88,5 +79,4 @@ __all__ = [
     "trivial_upper_bound",
     "upper_bound",
     "verify_witness",
-    "worst_case_halfline_prob",
 ]

@@ -12,19 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from ._search import grid_golden_max
 from .lowerbound import ClassSpec
-
-GRID_POINTS = 10_001
-
-
-class HalfLine(str, Enum):
-    LEFT_OF_S = "LEFT_OF_S"
-    RIGHT_OF_S = "RIGHT_OF_S"
 
 
 @dataclass(frozen=True)
@@ -42,26 +33,17 @@ class UpperBoundResult:
     clipped: bool
 
 
-def worst_case_halfline_prob(mu: float, sigma2: float, s: float,
-                             side: HalfLine) -> float:
-    """Largest mass a (mu, sigma^2) distribution can put on a closed half-line."""
-    if sigma2 < 0.0:
-        raise ValueError("variance must be nonnegative")
-    inside = mu <= s if side is HalfLine.LEFT_OF_S else mu >= s
-    if inside:
-        return 1.0
-    if sigma2 == 0.0:
-        return 0.0
-    gap = s - mu
-    return 1.0 / (1.0 + gap * gap / sigma2)
-
-
 def _ordered(c1: ClassSpec, c2: ClassSpec):
     # the class with the smaller mean claims the left half-line
     return (c1, c2) if c1.gamma1 <= c2.gamma1 else (c2, c1)
 
 
 def _worst_error_vec(c1: ClassSpec, c2: ClassSpec, s: np.ndarray) -> np.ndarray:
+    """Worst-case error of each threshold in ``s`` over all moment-feasible pairs.
+
+    The class with the smaller mean is assigned the left half-line, so its
+    error region is [s, inf) and the other class's is (-inf, s].
+    """
     lo, hi = _ordered(c1, c2)
 
     def tail(mu, sigma2, errs_right):
@@ -75,44 +57,47 @@ def _worst_error_vec(c1: ClassSpec, c2: ClassSpec, s: np.ndarray) -> np.ndarray:
             + hi.prior * tail(hi.gamma1, max(hi.sigma2, 0.0), False))
 
 
-def linear_boundary_worst_error(c1: ClassSpec, c2: ClassSpec, s: float) -> float:
-    """Worst-case error of the threshold ``s`` over all moment-feasible pairs.
-
-    The class with the smaller mean is assigned the left half-line, so its
-    error region is [s, inf) and the other class's is (-inf, s].
-    """
-    lo, hi = _ordered(c1, c2)
-    return (lo.prior * worst_case_halfline_prob(lo.gamma1, max(lo.sigma2, 0.0),
-                                                s, HalfLine.RIGHT_OF_S)
-            + hi.prior * worst_case_halfline_prob(hi.gamma1, max(hi.sigma2, 0.0),
-                                                  s, HalfLine.LEFT_OF_S))
-
-
 def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     """Upper bound on the supremum Bayes error of a two-class problem.
 
-    Takes the infimum of the worst-case threshold error over the extended
-    line: a grid of 10,001 points on [mean_lo - 10 sd_lo, mean_hi + 10 sd_hi]
-    refined by golden section to width 1e-10, together with the s -> -inf and
-    s -> +inf limits (the class priors) and the ceiling 1. For equal
-    variances and equal priors this reproduces the closed form
-    min{4 sigma^2 / (4 sigma^2 + gap^2), 1/2} exactly.
+    The infimum of the worst-case threshold error over the extended line.
+    Between the means it is p_lo sigma_lo^2 / D_lo + p_hi sigma_hi^2 / D_hi,
+    D = sigma^2 + (s - mu)^2, stationary at the real roots of the quintic
+    p_lo sigma_lo^2 (s - mu_lo) D_hi^2 + p_hi sigma_hi^2 (s - mu_hi) D_lo^2
+    (companion-matrix eigenvalues). A zero-variance class has its infimum,
+    not attained, one ulp inside its mean. Outside the means the error never
+    beats the s -> +/-inf limits (the class priors), candidates along with the
+    ceiling 1. A finite ``s_star`` is a threshold whose error is the value.
+    Equal variances and priors give min{4 sigma^2 / (4 sigma^2 + gap^2), 1/2}.
     """
     if abs(c1.prior + c2.prior - 1.0) > 1e-12:
         raise ValueError("the two class priors must sum to 1")
     lo_c, hi_c = _ordered(c1, c2)
-    sd_lo = math.sqrt(max(lo_c.sigma2, 0.0))
-    sd_hi = math.sqrt(max(hi_c.sigma2, 0.0))
-    a = lo_c.gamma1 - 10.0 * sd_lo
-    b = hi_c.gamma1 + 10.0 * sd_hi
     candidates = [(lo_c.prior, -math.inf, True),
                   (hi_c.prior, math.inf, True),
                   (1.0, math.nan, True)]
-    if b > a:
-        midpoint = 0.5 * (lo_c.gamma1 + hi_c.gamma1)
-        x, neg = grid_golden_max(lambda s: -_worst_error_vec(c1, c2, s), a, b,
-                                 num=GRID_POINTS, width=1e-10, extra=[midpoint])
-        candidates.insert(0, (-neg, float(x), False))
+    gap = hi_c.gamma1 - lo_c.gamma1
+    if gap > 0.0:
+        sd_lo, sd_hi = math.sqrt(max(lo_c.sigma2, 0.0)), math.sqrt(max(hi_c.sigma2, 0.0))
+        unit = max(gap, sd_lo, sd_hi)
+        # x: distance from the narrower class a toward b, in units that keep
+        # every coefficient of order one and a's q_a^2 clear of g^2
+        (a, q_a, toward), (b, q_b, _) = sorted(
+            [(lo_c, sd_lo / unit, 1.0), (hi_c, sd_hi / unit, -1.0)], key=lambda t: t[1])
+        g = gap / unit
+        d_a = np.array([q_a * q_a, 0.0, 1.0])  # q_a^2 + x^2
+        d_b = np.array([q_b * q_b + g * g, -2.0 * g, 1.0])  # q_b^2 + (x - g)^2
+        poly = (a.prior * q_a * q_a * np.convolve([0.0, 1.0], np.convolve(d_b, d_b))
+                + b.prior * q_b * q_b * np.convolve([-g, 1.0], np.convolve(d_a, d_a)))
+        x = np.roots(poly[::-1]).real
+        # next to a class of negligible variance the error dips within about
+        # q_a^(2/3) of its mean, too close for the eigenvalues once q_a < 1e-32
+        x = np.append(x[(x > 0.0) & (x < g)], np.cbrt(q_a) ** 2)
+        s = np.append(a.gamma1 + toward * unit * x,
+                      [np.nextafter(lo_c.gamma1, math.inf), np.nextafter(hi_c.gamma1, -math.inf)])
+        errors = _worst_error_vec(c1, c2, s)
+        i = int(np.argmin(errors))
+        candidates.insert(0, (float(errors[i]), float(s[i]), False))
     value, s_star, clipped = min(candidates, key=lambda t: (t[0], t[2]))
     return UpperBoundResult(float(value), s_star, clipped)
 

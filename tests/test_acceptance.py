@@ -180,8 +180,8 @@ def test_criterion_6_shared_mass_query(acceptance_registry):
         assert abs(eps4 - 2.0 / 3.0) <= 1e-9
 
     check(acceptance_registry, 6,
-          "shared mass: closed form 1 - g1^2/g2 for n in {2,3}, bisection "
-          "hits 2/3 on the normal sequence (1e-9)", body)
+          "shared mass: closed form 1 - g1^2/g2 for n in {2,3}, the Christoffel "
+          "function hits 2/3 on the normal sequence (1e-9)", body)
 
 
 def test_criterion_7_witness_certification(acceptance_registry):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,16 @@ def test_sweep_default_covers_both_panels(capsys):
     variances = {line.split(",")[1] for line in lines[1:]}
     assert variances == {"1", "5"}
     assert len(lines) == 1 + 2 * 3
+
+
+SWEEP_SNAPSHOT = Path(__file__).resolve().parents[1] / "bench" / "snapshots" / "sweep_default.csv"
+
+
+def test_sweep_default_matches_snapshot(capsys):
+    # the default sweep is byte-stable: any digit that moves must be explained
+    code, out, _ = run(["sweep"], capsys)
+    assert code == 0
+    assert out == SWEEP_SNAPSHOT.read_text(encoding="utf-8")
 
 
 def test_witness_roundtrip(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from momentbounds import (
@@ -22,6 +22,7 @@ from momentbounds import (
     shift_moments,
 )
 from momentbounds.lowerbound import _objective_vec
+from momentbounds.moments import shared_mass
 
 
 def make_class(prior, mean, var, rng=None):
@@ -35,12 +36,13 @@ def random_two_class(rng, equal_priors=True):
     return [make_class(p1, m1, v1), make_class(1.0 - p1, m2, v2)]
 
 
-def grid_sup_objective(classes, num=200_001, margin=10.0):
-    """Dense-grid oracle for the supremum of the shift objective."""
+def grid_sup_objective(classes, num=200_001, margin=10.0, masses=None):
+    """Dense-grid oracle for the supremum of the shift objective; ``masses``
+    are the classes' shared-mass maps (default: two-moment ones)."""
     means = [c.gamma1 for c in classes]
     smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
     xs = np.linspace(min(means) - margin * smax, max(means) + margin * smax, num)
-    vals = _objective_vec(classes, xs)
+    vals = _objective_vec(classes, xs, masses)
     i = int(np.argmax(vals))
     return float(xs[i]), float(vals[i])
 
@@ -103,9 +105,16 @@ def test_optimal_shift_two_class_equal_means():
     assert optimal_shift_two_class(c1, c2) == 1.5
 
 
-def test_optimal_shift_two_class_rejects_unequal_priors():
-    with pytest.raises(ValueError):
-        optimal_shift_two_class(make_class(0.6, 0.0, 1.0), make_class(0.4, 1.0, 1.0))
+def test_optimal_shift_two_class_unequal_priors_pinned():
+    # 0.3 / (1 + d^2) = 0.7 / (1 + (d - 2)^2) at d = (sqrt(17) - 3) / 2
+    c1, c2 = make_class(0.3, 0.0, 1.0), make_class(0.7, 2.0, 1.0)
+    delta = (math.sqrt(17.0) - 3.0) / 2.0
+    assert optimal_shift_two_class(c1, c2) == pytest.approx(delta, abs=1e-14)
+    res = lower_bound([c1, c2], 2)
+    assert res.method is BoundMethod.CLOSED_FORM_G2
+    assert res.delta_star == pytest.approx(delta, abs=1e-14)
+    assert res.value == pytest.approx(0.2280776406404415, abs=1e-14)
+    assert res.value == pytest.approx(0.3 / (1.0 + delta * delta), abs=1e-14)
 
 
 def test_numeric_matches_closed_form_objective():
@@ -150,7 +159,7 @@ def test_lower_bound_equal_variance_formula():
         expect = 2 * sd * sd / (4 * sd * sd + d * d)
         assert res.value == pytest.approx(expect, abs=1e-12)
         assert res.delta_star == pytest.approx(m + d / 2, abs=1e-12)
-        assert res.method is BoundMethod.MIDPOINT
+        assert res.method is BoundMethod.CLOSED_FORM_G2
 
 
 def test_lower_bound_unequal_variance_spot():
@@ -255,7 +264,7 @@ def test_lower_bound_four_moments():
     classes = [ClassSpec.from_moments(0.5, std), ClassSpec.from_moments(0.5, moved)]
     res4 = lower_bound(classes, 4)
     res2 = lower_bound(classes, 2)
-    assert res4.method is BoundMethod.NUMERIC
+    assert res4.method is BoundMethod.CLOSED_FORM_G2
     assert not res4.attained
     assert 0.0 <= res4.value <= res2.value + 1e-9
     weighted = [c.prior * e for c, e in zip(classes, res4.epsilons)]
@@ -283,7 +292,7 @@ def test_lower_bound_higher_order_values(moments, n, value):
     classes = [ClassSpec.from_moments(0.5, moments[:n]),
                ClassSpec.from_moments(0.5, NORMAL_AT_2[:n])]
     res = lower_bound(classes, n)
-    assert res.method is BoundMethod.NUMERIC and not res.attained
+    assert res.method is BoundMethod.CLOSED_FORM_G2 and not res.attained
     assert res.value == pytest.approx(value, abs=1e-12)
     assert res.delta_star == pytest.approx(1.0, abs=1e-12)
 
@@ -308,3 +317,23 @@ def test_lower_bound_never_increases_with_moment_order(atoms1, atoms2, p1):
     classes = [lattice_class(p1, atoms1), lattice_class(1.0 - p1, atoms2)]
     values = [lower_bound(classes, n).value for n in range(2, 7)]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), values
+
+
+@settings(max_examples=40, deadline=None)
+@given(atom_lists, atom_lists, st.floats(0.2, 0.8).filter(lambda p: p != 0.5),
+       st.integers(2, 6))
+def test_two_class_shift_is_never_beaten_by_a_grid(atoms1, atoms2, p1, n):
+    # the exact two-class optimizer enumerates every candidate, so neither a
+    # dense grid nor the grid-plus-golden-section search may find more
+    classes = [lattice_class(p1, atoms1), lattice_class(1.0 - p1, atoms2)]
+    masses = [shared_mass(c.moment_sequence(n)) for c in classes]
+    try:
+        res = lower_bound(classes, n)
+    except InfeasibleSequenceError:
+        reject()  # is_feasible still refuses some lattice classes; not this property
+    assert res.method is BoundMethod.CLOSED_FORM_G2
+    exact = float(_objective_vec(classes, np.array([res.delta_star]), masses)[0])
+    _, oracle = grid_sup_objective(classes, masses=masses)
+    numeric = optimal_shift_numeric(classes, masses)
+    assert exact >= oracle - 1e-12
+    assert exact >= float(_objective_vec(classes, np.array([numeric]), masses)[0]) - 1e-12

@@ -4,27 +4,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momentbounds import (
     ClassSpec,
     DiscreteMeasure,
-    HalfLine,
-    linear_boundary_worst_error,
     lower_bound,
     moments_of,
     trivial_upper_bound,
     upper_bound,
-    worst_case_halfline_prob,
 )
+from momentbounds.upperbound import _worst_error_vec
 
 
 def make_class(prior, mean, var):
     return ClassSpec(prior, mean, mean * mean + var)
 
 
+def worst_error(c1, c2, s):
+    return float(_worst_error_vec(c1, c2, np.array([s]))[0])
+
+
+def tail_prob(mu, var, s, errs_right):
+    """Largest mass a (mu, var) class can put on its error half-line at s.
+
+    Read off a two-class evaluation at equal priors whose other class is a
+    point mass placed so that it contributes exactly 0: right of s when the
+    class errs on [s, inf), left of s when it errs on (-inf, s].
+    """
+    c = make_class(0.5, mu, var)
+    x = max(mu, s) + 1.0 if errs_right else min(mu, s) - 1.0
+    return worst_error(c, make_class(0.5, x, 0.0), s) / 0.5
+
+
 def test_halfline_prob_is_achieved_by_two_point_measure():
     mu, var, s = 0.0, 1.0, 1.0
-    bound = worst_case_halfline_prob(mu, var, s, HalfLine.RIGHT_OF_S)
+    bound = tail_prob(mu, var, s, errs_right=True)
     assert bound == pytest.approx(0.5)
     # the classical extremal measure: mass 1/(1+c) at s, rest at mu - var/(s-mu)
     c = (s - mu) ** 2 / var
@@ -40,31 +56,31 @@ def test_halfline_prob_is_achieved_by_two_point_measure():
 
 
 def test_halfline_prob_mean_inside():
-    assert worst_case_halfline_prob(2.0, 3.0, 1.0, HalfLine.RIGHT_OF_S) == 1.0
-    assert worst_case_halfline_prob(0.5, 3.0, 1.0, HalfLine.LEFT_OF_S) == 1.0
+    assert tail_prob(2.0, 3.0, 1.0, errs_right=True) == 1.0
+    assert tail_prob(0.5, 3.0, 1.0, errs_right=False) == 1.0
 
 
 def test_halfline_prob_degenerate():
-    assert worst_case_halfline_prob(0.0, 0.0, 1.0, HalfLine.RIGHT_OF_S) == 0.0
-    assert worst_case_halfline_prob(0.0, 0.0, -1.0, HalfLine.RIGHT_OF_S) == 1.0
+    assert tail_prob(0.0, 0.0, 1.0, errs_right=True) == 0.0
+    assert tail_prob(0.0, 0.0, -1.0, errs_right=True) == 1.0
 
 
 def test_linear_boundary_spot_value():
     c1, c2 = make_class(0.5, 0.0, 1.0), make_class(0.5, 4.0, 1.0)
-    assert linear_boundary_worst_error(c1, c2, 2.0) == pytest.approx(0.2)
+    assert worst_error(c1, c2, 2.0) == pytest.approx(0.2)
 
 
 def test_linear_boundary_at_a_mean():
     c1, c2 = make_class(0.5, 0.0, 1.0), make_class(0.5, 4.0, 1.0)
-    assert linear_boundary_worst_error(c1, c2, 0.0) >= 0.5
-    assert linear_boundary_worst_error(c1, c2, 4.0) >= 0.5
+    assert worst_error(c1, c2, 0.0) >= 0.5
+    assert worst_error(c1, c2, 4.0) >= 0.5
 
 
 def test_linear_boundary_symmetry():
     c1, c2 = make_class(0.5, 0.0, 1.0), make_class(0.5, 4.0, 1.0)
     for offset in (0.3, 0.9, 1.7):
-        left = linear_boundary_worst_error(c1, c2, 2.0 - offset)
-        right = linear_boundary_worst_error(c1, c2, 2.0 + offset)
+        left = worst_error(c1, c2, 2.0 - offset)
+        right = worst_error(c1, c2, 2.0 + offset)
         assert left == pytest.approx(right, abs=1e-12)
 
 
@@ -142,6 +158,49 @@ def test_upper_bound_never_exceeds_smaller_prior():
     # a threshold pushed to infinity errs only on the opposing class
     res = upper_bound(make_class(0.8, 0.0, 1.0), make_class(0.2, 0.1, 4.0))
     assert res.value <= 0.2 + 1e-12
+
+
+def test_upper_bound_point_mass_against_spread_class():
+    # a zero-variance class errs nowhere once s leaves its mean, so the
+    # infimum 0.5 / (1 + 2^2) is approached, not attained, as s -> 0+
+    res = upper_bound(make_class(0.5, 0.0, 0.0), make_class(0.5, 2.0, 1.0))
+    assert res.value == pytest.approx(0.1, abs=1e-15)
+    assert not res.clipped
+    assert worst_error(make_class(0.5, 0.0, 0.0), make_class(0.5, 2.0, 1.0),
+                       res.s_star) == res.value
+
+
+@pytest.mark.parametrize("c1,c2", [
+    (make_class(0.5, 0.0, 1e-80), make_class(0.5, 1.0, 1.0)),
+    (make_class(0.5, -9.366481015493536, 20.962238851568 ** 2),
+     make_class(0.5, 5.016013560997727, 1.9544077100434775e-06 ** 2)),
+    (make_class(0.5682092928975694, -0.03552054410227518, 0.016378936836681596 ** 2),
+     make_class(0.4317907071024306, 0.027689177297679494, 1.6584693274924482e-08 ** 2)),
+])
+def test_upper_bound_next_to_a_narrow_class(c1, c2):
+    # the error dips within a few (sd^2 * gap)^(1/3) of the narrow class's
+    # mean: scan offsets from it on a log scale
+    narrow, wide = (c1, c2) if c1.sigma2 < c2.sigma2 else (c2, c1)
+    toward = math.copysign(1.0, wide.gamma1 - narrow.gamma1)
+    s = narrow.gamma1 + toward * np.logspace(-40.0, 1.0, 400_001)
+    res = upper_bound(c1, c2)
+    assert res.value <= float(_worst_error_vec(c1, c2, s).min()) + 1e-12
+    assert worst_error(c1, c2, res.s_star) == res.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 0.9), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.just(0.0) | st.floats(0.01, 9.0), st.just(0.0) | st.floats(0.01, 9.0))
+@example(0.5, 1.8713963843095027e-119, 0.0, 0.0, 1.0)  # gap^2 underflows
+@example(0.5, 2.437710860274994e-266, 0.0, 0.0, 0.0)
+def test_upper_bound_is_never_beaten_by_a_grid(p1, m1, m2, v1, v2):
+    c1, c2 = make_class(p1, m1, v1), make_class(1.0 - p1, m2, v2)
+    res = upper_bound(c1, c2)
+    sd_lo, sd_hi = (math.sqrt(v1), math.sqrt(v2)) if m1 <= m2 else (math.sqrt(v2), math.sqrt(v1))
+    s = np.linspace(min(m1, m2) - 10.0 * sd_lo, max(m1, m2) + 10.0 * sd_hi, 200_001)
+    assert res.value <= float(_worst_error_vec(c1, c2, s).min()) + 1e-12
+    if not res.clipped:
+        assert worst_error(c1, c2, res.s_star) == res.value
 
 
 def test_trivial_upper_bound():
