@@ -7,7 +7,7 @@ discrete witness certifying it), an upper bound from the minimax threshold
 classifier, and the Gaussian-assumption baseline for comparison.
 """
 
-from .errors import InfeasibleSequenceError, SingularRecoveryError, UnsupportedRankError
+from .errors import InfeasibleSequenceError
 from .gaussian import GaussianPair, gaussian_pair_bayes_error, normal_cdf
 from .lowerbound import (
     BoundMethod,
@@ -31,7 +31,6 @@ from .moments import (
     max_shared_mass,
     moments_of,
     recover_atoms,
-    sequence_rank,
     shift_moments,
 )
 from .upperbound import UpperBoundResult, trivial_upper_bound, upper_bound
@@ -55,8 +54,6 @@ __all__ = [
     "HankelSystem",
     "InfeasibleSequenceError",
     "LowerBoundResult",
-    "SingularRecoveryError",
-    "UnsupportedRankError",
     "UpperBoundResult",
     "WitnessReport",
     "build_hankel",
@@ -74,7 +71,6 @@ __all__ = [
     "optimal_shift_two_class",
     "overlap_fraction",
     "recover_atoms",
-    "sequence_rank",
     "shift_moments",
     "trivial_upper_bound",
     "upper_bound",

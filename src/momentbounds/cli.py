@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import moments as mm
-from .errors import InfeasibleSequenceError, SingularRecoveryError, UnsupportedRankError
+from .errors import InfeasibleSequenceError
 from .gaussian import GaussianPair, gaussian_pair_bayes_error
 from .lowerbound import ClassSpec, lower_bound
 from .upperbound import trivial_upper_bound, upper_bound
@@ -240,11 +240,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_witness(args)
-    except (InfeasibleSequenceError, UnsupportedRankError, SingularRecoveryError) as exc:
-        code = {InfeasibleSequenceError: "INFEASIBLE",
-                UnsupportedRankError: "UNSUPPORTED_RANK",
-                SingularRecoveryError: "NUMERIC"}[type(exc)]
-        print(json.dumps({"error": code, "detail": str(exc)}), file=sys.stderr)
+    except InfeasibleSequenceError as exc:
+        print(json.dumps({"error": "INFEASIBLE", "detail": str(exc)}), file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

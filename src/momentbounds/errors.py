@@ -3,11 +3,3 @@
 
 class InfeasibleSequenceError(ValueError):
     """A moment sequence admits no positive measure on the real line."""
-
-
-class UnsupportedRankError(ValueError):
-    """Atom recovery was asked for a sequence outside the supported cases."""
-
-
-class SingularRecoveryError(ArithmeticError):
-    """The two-atom recovery system is numerically singular."""

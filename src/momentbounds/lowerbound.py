@@ -244,22 +244,6 @@ def _validate_problem(classes, n_moments: int) -> None:
             raise ValueError(f"class {i} provides only {c.n_moments} moments")
 
 
-def _check_class(i: int, c: ClassSpec, n_moments: int, tol: float) -> None:
-    """Raise InfeasibleSequenceError when class ``i``'s moments admit no
-    distribution. For two moments feasibility is sigma^2 >= 0 (within tol)."""
-    if n_moments == 2:
-        if c.sigma2 >= -tol * (1.0 + c.gamma2):
-            return
-        reason = mm.FeasibilityReason.NOT_PSD
-    else:
-        verdict = mm.is_feasible(c.moment_sequence(n_moments), tol)
-        if verdict.feasible:
-            return
-        reason = verdict.reason
-    raise InfeasibleSequenceError(
-        f"class {i} moment sequence is infeasible ({reason.value})")
-
-
 def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBoundResult:
     """Certified lower bound on the supremum Bayes error.
 
@@ -279,7 +263,10 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         eps = tuple(1.0 for _ in classes)
         return LowerBoundResult(value, 0.0, eps, False, BoundMethod.FIRST_MOMENT)
     for i, c in enumerate(classes):
-        _check_class(i, c, n_moments, tol)
+        verdict = mm.is_feasible(c.moment_sequence(n_moments), tol)
+        if not verdict.feasible:
+            raise InfeasibleSequenceError(
+                f"class {i} moment sequence is infeasible ({verdict.reason.value})")
     masses = [mm.shared_mass(c.moment_sequence(n_moments), tol) for c in classes]
     if len(classes) == 2:
         delta = optimal_shift_two_class(classes[0], classes[1], masses)

@@ -8,11 +8,16 @@ can be carved out at a location while keeping the remainder feasible, shifts
 sequences under translation of the underlying measure, and reconstructs small
 atomic measures from their moments.
 
-With ``k = floor(n / 2)`` and ``A(k)`` the (k+1) x (k+1) Hankel matrix of the
-sequence, feasibility requires ``A(k)`` positive semidefinite together with a
-parity-dependent condition: for odd ``n`` the trailing moment column must lie
-in the range of ``A(k)``, for even ``n`` the sequence rank must equal the
-matrix rank. All checks are numerical with scale-relative tolerances.
+Verdicts and recoveries work on the sequence divided by its mass, centred
+on its mean and scaled by its standard deviation. With ``k = floor(n / 2)``
+and ``A(r)`` the (r+1) x (r+1) Hankel matrix of that standardized sequence, a
+positive definite ``A(k)`` means feasible for either parity of ``n``.
+Otherwise a singular ``A(r)`` pins an r-atom measure, the r-point Gauss rule
+of the first 2r moments, and the sequence is feasible exactly when those
+atoms reproduce it up to ``gn`` (Curto & Fialkow, *Houston J. Math.* 1991).
+Singular means zero within ``tol`` times the rounding the shift to the mean
+carries, so a verdict depends on the input's own rounding and not on where
+the input sits on the line.
 
 The largest Dirac mass a probability sequence allows at a location ``delta``
 is the Christoffel function ``1 / (v^T A(k)^-1 v)`` with
@@ -26,14 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleSequenceError, SingularRecoveryError, UnsupportedRankError
+from .errors import InfeasibleSequenceError
 
-#: scale-relative tolerance used by the feasibility verdicts: eigenvalues are
-#: accepted down to -tol*(1+||A||), numerical ranks count singular values above
-#: tol*largest, and range membership allows a residual of tol*(1+||v||).
+#: relative tolerance of the feasibility verdicts: a standardized moment or
+#: Cholesky pivot counts as zero within tol times the rounding the shift to the
+#: mean carries into it.
 DEFAULT_TOL = 1e-9
 
 
@@ -94,17 +100,20 @@ class DiscreteMeasure:
     def from_atoms(cls, pairs, merge_tol: float = 0.0) -> "DiscreteMeasure":
         """Build a measure, merging atoms closer than ``merge_tol`` (absolute).
 
-        Merged atoms are replaced by a single atom at their mass-weighted
-        mean location; zero-mass entries are dropped.
+        Atoms within ``merge_tol`` of a group's first location join the group,
+        which is replaced by a single atom at its mass-weighted mean location
+        (kept within the group's span, which rounding could leave); zero-mass
+        entries are dropped.
         """
         pairs = sorted((float(x), float(w)) for x, w in pairs if w != 0.0)
         merged: list[list[float]] = []
         for x, w in pairs:
-            if merged and x - merged[-1][0] <= merge_tol:
+            if merged and x - anchor <= merge_tol:
                 loc, mass = merged[-1]
                 tot = mass + w
-                merged[-1] = [(loc * mass + x * w) / tot, tot]
+                merged[-1] = [min(max((loc * mass + x * w) / tot, anchor), x), tot]
             else:
+                anchor = x
                 merged.append([x, w])
         return cls(tuple((x, w) for x, w in merged))
 
@@ -120,7 +129,7 @@ def _as_sequence(seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("a moment sequence is a non-empty 1-D list of reals")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):  # faster than numpy on a few entries
         raise ValueError("moments must be finite")
     return arr
 
@@ -140,60 +149,140 @@ def build_hankel(seq) -> HankelSystem:
     return HankelSystem(k=k, matrix=matrix, extra=extra)
 
 
-def _numerical_rank(matrix: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+class _Frame(NamedTuple):
+    """A sequence divided by its mass, centred on its mean, scaled by its sd
+    (0 when the variance is within its rounding or its n-th power underflows;
+    ``t`` is then only centred). ``rank`` atoms pin the sequence, 0 if it is
+    infeasible; ``inv_chol`` inverts the Cholesky factor of A(rank - 1), for
+    an infeasible frame of A(r - 1) at the failed pivot r. ``pivot`` is the
+    last pivot examined and ``band`` tol times the rounding it carries."""
+
+    mean: float
+    sd: float
+    t: np.ndarray
+    inv_chol: np.ndarray
+    rank: int
+    pivot: float
+    band: float
+
+
+def _standardize(g: np.ndarray, tol: float) -> _Frame:
+    """The standardized frame of a sequence of positive mass, and its rank.
+
+    Row j of ``shift`` holds the raw-power coefficients of ((x - mean) / sd)^j,
+    so t = shift h for h = g / g0, and the moment of a polynomial p of the
+    standardized variable carries the rounding tol |raw coefficients of p| .
+    |h|: for z^j that is tol sum_i C(j, i) |mean|^(j-i) |h_i| / sd^j. Pivot r
+    of the Cholesky factorization of A(k) is the moment of pi_r^2 (pi_r the
+    monic orthogonal polynomial). When it is 0 within its rounding, A(r) may
+    be singular: if the r-point Gauss rule of t0 .. t(2r-1) reproduces t
+    beyond t(2r), those atoms pin the sequence. Otherwise a positive pivot
+    continues and a non-positive one makes the sequence infeasible. A
+    positive last pivot is never taken for singular: a positive definite
+    A(k) is feasible, and its (k+1)-point rule exact.
+    """
+    h = g / g[0]
+    mean = float(h[1]) if h.size > 1 else 0.0
+    j = np.arange(h.size)
+    shift = _shift_matrix(h.size, mean)
+    ah = np.abs(h) + np.finfo(float).tiny  # below the normal range rounding is absolute
+    c, b = shift @ h, tol * (np.abs(shift) @ ah)
+    sd = math.sqrt(abs(c[2])) if h.size > 2 and abs(c[2]) > b[2] else 0.0
+    if sd ** (h.size - 1) < np.finfo(float).tiny:  # t would overflow
+        sd = 0.0
+    scale = (sd or 1.0) ** j
+    shift /= scale[:, None]
+    t, err = c / scale, b / scale
+    if sd:
+        t[2] = math.copysign(1.0, c[2])
+    k = (h.size - 1) // 2
+    inv = np.eye(k + 1)  # t0 = 1
+    pivot, band = math.inf, 0.0
+    for r in range(1, k + 1):
+        row = inv[:r, :r] @ t[r:2 * r]
+        pivot = t[2 * r] - row @ row
+        ortho = np.append(-row @ inv[:r, :r], 1.0)  # pi_r
+        band = tol * np.abs(np.convolve(ortho, ortho) @ shift[:2 * r + 1]) @ ah
+        if -band <= pivot <= (0.0 if r == k else band):
+            x, w = _gauss(t, inv[:r, :r])
+            powers = x[:, None] ** j[2 * r + 1:]
+            if np.all(np.abs(w @ powers - t[2 * r + 1:])
+                      <= err[2 * r + 1:] + tol * (w @ np.abs(powers))):
+                return _Frame(mean, sd, t, inv[:r, :r], r, pivot, band)
+        if pivot <= 0.0:
+            return _Frame(mean, sd, t, inv[:r, :r], 0, pivot, band)
+        inv[r, :r + 1] = ortho / math.sqrt(pivot)
+    return _Frame(mean, sd, t, inv, k + 1, pivot, band)
+
+
+def _gauss(t: np.ndarray, inv_chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the r-point Gauss rule of t0 .. t(2r-1).
+
+    With L the Cholesky factor of A(r - 1) (``inv_chol`` is L^-1), the nodes
+    are the eigenvalues of the Jacobi matrix L^-1 B L^-T, B the Hankel matrix
+    of t1 .. t(2r-1), and a weight is t0 times the squared first component of
+    its eigenvector (Golub & Welsch, *Math. Comp.* 1969), renormalized to sum
+    to t0. Without t(2r-1) the rule is closed with a zero last recurrence
+    coefficient, the one entry of the Jacobi matrix t(2r-1) enters: t(2r-1) = 0
+    would send a node to about 1e7 next to a nearly singular A(r - 1).
+    """
+    r = inv_chol.shape[0]
+    idx = np.arange(r)
+    jac = inv_chol @ np.append(t, 0.0)[idx[:, None] + idx + 1] @ inv_chol.T
+    if t.size < 2 * r:
+        jac[-1, -1] = 0.0
+    x, vec = np.linalg.eigh(jac)
+    w = vec[0] ** 2
+    return x, t[0] * w / w.sum()
 
 
 def sequence_rank(seq, tol: float = DEFAULT_TOL) -> int:
-    """Rank of a moment sequence.
-
-    Equals k+1 when A(k) is numerically invertible; otherwise the smallest
-    r >= 1 whose column v_r lies in the span of its predecessors (tested by
-    least-squares residual), falling back to k+1 when no column does.
-    """
-    hs = build_hankel(seq)
-    a = hs.matrix
-    if _numerical_rank(a, tol) == hs.k + 1:
-        return hs.k + 1
-    for r in range(1, hs.k + 1):
-        prev = a[:, :r]
-        v = a[:, r]
-        coef, *_ = np.linalg.lstsq(prev, v, rcond=None)
-        if np.linalg.norm(prev @ coef - v) <= tol * (1.0 + np.linalg.norm(v)):
-            return r
-    return hs.k + 1
+    """Number of atoms a sequence pins: ``is_feasible(seq, tol).rank_gamma``."""
+    return is_feasible(seq, tol).rank_gamma
 
 
 def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     """Decide whether [g0..gn] are the moments of some positive measure.
 
-    Returns a verdict carrying the failure reason and the two ranks used by
-    the even-parity test. A feasible verdict guarantees an atomic solution
-    exists.
+    Feasible when the standardized A(k) is positive definite, or when the
+    atoms of a singular A(r) reproduce the sequence up to gn. A feasible
+    verdict reports the number of atoms pinning the sequence (k + 1 for a
+    positive definite A(k)) as both ranks, and guarantees an atomic solution
+    exists; an infeasible one the rank of A(k) and the pivot that failed
+    (k + 1 for NOT_PSD).
     """
     g = _as_sequence(seq)
-    hs = build_hankel(g)
-    eigs = np.linalg.eigvalsh(hs.matrix)
-    scale = float(np.max(np.abs(eigs)))
-    sv = np.sort(np.abs(eigs))[::-1]
-    rank_a = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
-    rank_g = sequence_rank(g, tol)
-    if g[0] < 0.0:
-        return FeasibilityVerdict(False, FeasibilityReason.BAD_ZEROTH, rank_a, rank_g)
-    if eigs[0] < -tol * (1.0 + scale):
-        return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, rank_a, rank_g)
-    if hs.extra is not None:
-        x, *_ = np.linalg.lstsq(hs.matrix, hs.extra, rcond=None)
-        resid = np.linalg.norm(hs.matrix @ x - hs.extra)
-        if resid <= tol * (1.0 + np.linalg.norm(hs.extra)):
-            return FeasibilityVerdict(True, FeasibilityReason.OK, rank_a, rank_g)
-        return FeasibilityVerdict(False, FeasibilityReason.RANGE_FAILURE, rank_a, rank_g)
-    if rank_g == rank_a:
-        return FeasibilityVerdict(True, FeasibilityReason.OK, rank_a, rank_g)
-    return FeasibilityVerdict(False, FeasibilityReason.RANK_MISMATCH, rank_a, rank_g)
+    n = g.size - 1
+    k = n // 2
+    if g[0] <= 0.0:
+        reason = FeasibilityReason.BAD_ZEROTH if g[0] < 0.0 else FeasibilityReason.RANK_MISMATCH
+        return FeasibilityVerdict(False, reason,
+                                  int(np.linalg.matrix_rank(build_hankel(g).matrix)), k + 1)
+    if k == 1:  # scalars only: the variance, then a point mass's third moment
+        g0, g1, g2 = g[:3].tolist()
+        mean, h2 = g1 / g0, g2 / g0
+        var = h2 - mean * mean
+        if var < -tol * (3.0 * mean * mean + abs(h2)):
+            return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2)
+        if var > 0.0:
+            return FeasibilityVerdict(True, FeasibilityReason.OK, 2, 2)
+        point = n == 2
+        if n == 3:
+            h3 = float(g[3]) / g0
+            point = abs(h3 - 3.0 * mean * h2 + 2.0 * mean ** 3) <= tol * (
+                abs(h3) + 3.0 * abs(mean * h2) + 4.0 * abs(mean) ** 3)
+        return FeasibilityVerdict(point, FeasibilityReason.OK if point
+                                  else FeasibilityReason.RANGE_FAILURE, 1, 1)
+    fr = _standardize(g, tol)
+    if fr.rank:
+        return FeasibilityVerdict(True, FeasibilityReason.OK, fr.rank, fr.rank)
+    if fr.pivot < -fr.band:
+        reason, r = FeasibilityReason.NOT_PSD, k + 1
+    else:
+        reason = FeasibilityReason.RANGE_FAILURE if n % 2 else FeasibilityReason.RANK_MISMATCH
+        r = fr.inv_chol.shape[0]
+    return FeasibilityVerdict(False, reason,
+                              int(np.linalg.matrix_rank(build_hankel(fr.t).matrix)), r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +325,10 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
     ``seq`` is [1, g1, ..., gn] with n >= 2; only g0 .. g2k enter, k = n // 2.
     The sequence is standardized by its own mean and standard deviation once,
     here, so each evaluation of the returned map costs one small triangular
-    product. A(k) counts as singular when its smallest eigenvalue is at most
-    ``tol`` times its largest; a point mass is the one-atom case.
+    product. A sequence within its rounding of at most k atoms (see
+    ``_standardize``) shares mass only at them, the safe reading where the
+    moments do not pin the Christoffel function to ``tol``; a point mass is
+    the one-atom case.
     """
     g = _as_sequence(seq)
     k = (g.size - 1) // 2
@@ -249,22 +340,14 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
         return SharedMass(mean, 0.0, atoms=((mean, 1.0),))
     if k == 1:
         return SharedMass(mean, var)
-    sd = math.sqrt(var)
-    h = np.array(shift_moments(g[:2 * k + 1], mean)) / sd ** np.arange(2 * k + 1)
-    a = build_hankel(h).matrix
-    for r in range(2, k + 1):  # the standardized A(1) is the identity
-        eigs = np.linalg.eigvalsh(a[:r + 1, :r + 1])
-        if eigs[0] <= tol * eigs[-1]:
-            break
-    else:
-        return SharedMass(mean, var, inv_chol=np.linalg.inv(np.linalg.cholesky(a)))
-    # A(r) is singular, A(r-1) is not: the measure has r atoms, the roots of
-    # the degree-r orthogonal polynomial
-    coef = np.linalg.solve(a[:r, :r], -h[r:2 * r])
-    t = np.sort(np.roots(np.concatenate(([1.0], coef[::-1]))).real)
-    w = np.linalg.solve(np.vander(t, r, increasing=True).T, h[:r])
+    fr = _standardize(g[:2 * k + 1], tol)
+    if fr.sd and fr.pivot > fr.band:
+        return SharedMass(mean, var, inv_chol=fr.inv_chol)
+    # within rounding of at most k atoms: share mass at them only
+    r = min(fr.rank, k)
+    x, w = _gauss(fr.t, fr.inv_chol[:r, :r])
     return SharedMass(mean, var, atoms=tuple(
-        (mean + sd * float(x), float(m)) for x, m in zip(t, w)))
+        (fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)))
 
 
 def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
@@ -290,6 +373,15 @@ def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     return float(mass(0.0)), bool(mass.var == 0.0 or (g.size == 3 and g[1] != 0.0))
 
 
+def _shift_matrix(size: int, delta: float) -> np.ndarray:
+    """Row m: the coefficients C(m, j) (-delta)^(m-j) of (x - delta)^m."""
+    shift = np.eye(size)
+    for m in range(1, size):
+        shift[m, 1:] = shift[m - 1, :-1]
+        shift[m] -= delta * shift[m - 1]
+    return shift
+
+
 def shift_moments(seq, delta: float) -> list[float]:
     """Moments of the measure translated so an atom at x moves to x - delta.
 
@@ -298,72 +390,26 @@ def shift_moments(seq, delta: float) -> list[float]:
     unchanged and shifting by ``-delta`` inverts the map.
     """
     g = _as_sequence(seq)
-    if delta == 0.0:
-        return [float(v) for v in g]
-    out = []
-    for m in range(g.size):
-        acc = 0.0
-        for j in range(m + 1):
-            acc += ((-1.0) ** (m - j)) * math.comb(m, j) * delta ** (m - j) * g[j]
-        out.append(float(acc))
-    return out
+    return (_shift_matrix(g.size, float(delta)) @ g).tolist()
 
 
 def recover_atoms(seq, tol: float = DEFAULT_TOL) -> DiscreteMeasure:
-    """Reconstruct an atomic measure matching a feasible sequence, n <= 3.
+    """An atomic measure with the moments of a feasible sequence, any n.
 
-    Rank-1 sequences give a single atom at g1/g0 with mass g0. Rank-2 with
-    two moments is underdetermined and resolved by the canonical symmetric
-    rule (atoms at mean +/- sd, half mass each); rank-2 with three moments is
-    the exact two-atom Prony solve (recurrence coefficients from the 2x2
-    Hankel system, atoms from the polynomial roots, masses from the 2x2
-    Vandermonde system).
+    A sequence pinned by a singular standardized A(r) (see ``is_feasible``)
+    has one representing measure, its r atoms. Otherwise the result is the
+    (k+1)-point Gauss rule of the standardized sequence, for even n closed
+    with a zero last recurrence coefficient; with two moments that is
+    mean +/- sd, half the mass each. Raises InfeasibleSequenceError for an
+    infeasible sequence.
     """
     g = _as_sequence(seq)
-    n = g.size - 1
-    if n > 3:
-        raise UnsupportedRankError(
-            f"atom recovery supports rank <= 2 sequences of up to three moments, got n = {n}")
-    verdict = is_feasible(g, tol)
-    if not verdict.feasible:
-        raise InfeasibleSequenceError(
-            f"cannot recover atoms from an infeasible sequence ({verdict.reason.value})")
-    g0 = float(g[0])
-    if g0 == 0.0:
-        return DiscreteMeasure(())
-    rank = sequence_rank(g, tol)
-    if rank <= 1:
-        loc = float(g[1]) / g0 if n >= 1 else 0.0
-        return DiscreteMeasure(((loc, g0),))
-    if n == 2:
-        mean = float(g[1]) / g0
-        s2 = float(g[2]) / g0 - mean * mean
-        s = math.sqrt(max(s2, 0.0))
-        if s == 0.0:
-            return DiscreteMeasure(((mean, g0),))
-        return DiscreteMeasure(((mean - s, 0.5 * g0), (mean + s, 0.5 * g0)))
-    # rank 2 with three moments: Prony
-    a = np.array([[g[0], g[1]], [g[1], g[2]]], dtype=float)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= tol * sv[0]:
-        raise SingularRecoveryError("Prony system is singular")
-    c0, c1 = np.linalg.solve(a, -np.array([g[2], g[3]], dtype=float))
-    disc = c1 * c1 - 4.0 * c0
-    if disc < 0.0:
-        if disc < -tol * max(1.0, c1 * c1 + abs(4.0 * c0)):
-            raise SingularRecoveryError("Prony polynomial has complex roots")
-        disc = 0.0
-    r = math.sqrt(disc)
-    if r == 0.0:
-        raise SingularRecoveryError("Prony roots coincide")
-    q = -0.5 * (c1 + math.copysign(r, c1)) if c1 != 0.0 else 0.5 * r
-    x1, x2 = sorted((q, c0 / q)) if q != 0.0 else sorted((-0.5 * c1 - 0.5 * r, -0.5 * c1 + 0.5 * r))
-    w2 = (float(g[1]) - x1 * g0) / (x2 - x1)
-    w1 = g0 - w2
-    atoms = [(x, w) for x, w in ((x1, w1), (x2, w2)) if w > 0.0]
-    if not atoms:
-        raise SingularRecoveryError("Prony masses are not positive")
-    return DiscreteMeasure(tuple(atoms))
+    fr = _standardize(g, tol) if g[0] > 0.0 else None
+    if fr is None or not fr.rank:
+        raise InfeasibleSequenceError("cannot recover atoms from an infeasible sequence "
+                                      f"({is_feasible(g, tol).reason.value})")
+    x, w = _gauss(fr.t, fr.inv_chol)
+    return DiscreteMeasure.from_atoms(zip(fr.mean + (fr.sd or 1.0) * x, g[0] * w))
 
 
 def moments_of(measure: DiscreteMeasure, n: int) -> list[float]:

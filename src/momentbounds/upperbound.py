@@ -53,8 +53,9 @@ def _worst_error_vec(c1: ClassSpec, c2: ClassSpec, s: np.ndarray) -> np.ndarray:
         gap2 = (s - mu) ** 2
         return np.where(inside, 1.0, 1.0 / (1.0 + gap2 / sigma2))
 
-    return (lo.prior * tail(lo.gamma1, max(lo.sigma2, 0.0), True)
-            + hi.prior * tail(hi.gamma1, max(hi.sigma2, 0.0), False))
+    with np.errstate(over="ignore"):  # a subnormal sigma2: inf, and a tail of 0
+        return (lo.prior * tail(lo.gamma1, max(lo.sigma2, 0.0), True)
+                + hi.prior * tail(hi.gamma1, max(hi.sigma2, 0.0), False))
 
 
 def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:

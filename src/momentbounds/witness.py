@@ -9,7 +9,6 @@ the overlap, hence the error).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import moments as mm
@@ -21,12 +20,6 @@ ATOM_MERGE_TOL = 1e-12
 
 #: default distance backed off from an unattained shared-mass supremum.
 DEFAULT_BACKOFF = 1e-9
-
-#: feasibility and recovery tolerance for residuals of three or more moments.
-#: Residuals backed off from a supremum mix masses near the back-off distance
-#: with order-one moments; probing near machine scale keeps the rank tests
-#: meaningful at condition numbers beyond 1/DEFAULT_TOL.
-RECOVERY_TOL = 1e-12
 
 #: verified witnesses never put less residual mass than this next to the
 #: shared atom: below it the residual Hankel data is too ill-conditioned for
@@ -51,11 +44,11 @@ def build_witness(classes, delta_star: float, epsilons,
                   tol: float = mm.DEFAULT_TOL) -> list[mm.DiscreteMeasure]:
     """Construct one discrete measure per class matching its moments.
 
-    Class i gets an atom (delta_star, epsilons[i]) plus the atoms of its
-    residual sequence [1 - eps, shifted moments...] recovered in the shifted
-    frame and translated back. Raises InfeasibleSequenceError when an epsilon
-    leaves an infeasible residual, and UnsupportedRankError for residuals
-    beyond the supported recovery cases.
+    Class i gets an atom (delta_star, epsilons[i]) plus
+    ``moments.recover_atoms`` of its residual sequence g_j - eps delta^j, any
+    n. The residual stays in the class's own coordinates, so its recovery
+    counts the rounding those raw moments carry. Raises
+    InfeasibleSequenceError when an epsilon leaves an infeasible residual.
     """
     classes = list(classes)
     eps_list = [float(e) for e in epsilons]
@@ -67,53 +60,19 @@ def build_witness(classes, delta_star: float, epsilons,
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
         seq = c.moment_sequence(n_moments)
-        shifted = mm.shift_moments(seq, delta_star)
-        scale = 1.0 + max(abs(v) for v in seq)
         if 1.0 - eps <= 1e-15:
-            if any(abs(v) > tol * scale for v in shifted[1:]):
+            scale = 1.0 + max(abs(v) for v in seq)
+            if any(abs(v) > tol * scale for v in mm.shift_moments(seq, delta_star)[1:]):
                 raise InfeasibleSequenceError(
                     "epsilon 1 requires the class to be a point mass at the shared location")
             measures.append(mm.DiscreteMeasure(((delta_star, 1.0),)))
             continue
-        residual = [1.0 - eps] + shifted[1:]
-        if len(residual) == 3:
-            raw = _two_moment_residual_atoms(residual, eps, tol)
-        else:
-            rec_tol = min(tol, RECOVERY_TOL)
-            verdict = mm.is_feasible(residual, rec_tol)
-            if not verdict.feasible:
-                raise InfeasibleSequenceError(
-                    f"shared mass {eps} leaves an infeasible residual "
-                    f"({verdict.reason.value})")
-            raw = mm.recover_atoms(residual, rec_tol).atoms
-        atoms = [(x + delta_star, w) for x, w in raw]
+        residual = [v - eps * delta_star ** j for j, v in enumerate(seq)]
+        atoms = list(mm.recover_atoms(residual, tol).atoms)
         if eps > 0.0:
             atoms.append((delta_star, eps))
         measures.append(mm.DiscreteMeasure.from_atoms(atoms, merge_tol=ATOM_MERGE_TOL))
     return measures
-
-
-def _two_moment_residual_atoms(residual, eps, tol):
-    """Exact atoms for a residual [mass, g1, g2] in the shifted frame.
-
-    This is the recovery dispatch specialized to the two-moment case, keyed
-    on the sign of mass*g2 - g1^2 instead of numerical Hankel ranks: tiny
-    residual masses next to order-one moments sit far beyond the rank tests'
-    conditioning range, while the closed forms stay exact. A determinant that
-    is negative beyond what a single atom can absorb within the moment
-    tolerance means the requested shared mass is genuinely too large.
-    """
-    mass, g1, g2 = residual
-    det = mass * g2 - g1 * g1
-    absorbable = tol * mass * max(1.0, abs(g2))
-    if det < -absorbable:
-        raise InfeasibleSequenceError(
-            f"shared mass {eps} leaves an infeasible residual (NOT_PSD)")
-    mean = g1 / mass
-    if det <= 0.0:
-        return ((mean, mass),)
-    spread = math.sqrt(det) / mass
-    return ((mean - spread, 0.5 * mass), (mean + spread, 0.5 * mass))
 
 
 def discrete_bayes_error(measures, priors, merge_tol: float = ATOM_MERGE_TOL) -> float:
@@ -145,7 +104,8 @@ def discrete_bayes_error(measures, priors, merge_tol: float = ATOM_MERGE_TOL) ->
     return max(1.0 - winning, 0.0)
 
 
-def _backed_off(c: ClassSpec, eps: float, n_moments: int, backoff: float) -> float:
+def _backed_off(c: ClassSpec, eps: float, n_moments: int, backoff: float,
+                tol: float) -> float:
     if eps <= 0.0:
         return 0.0
     if c.gamma2 is not None and max(c.sigma2, 0.0) == 0.0 and eps == 1.0:
@@ -155,6 +115,11 @@ def _backed_off(c: ClassSpec, eps: float, n_moments: int, backoff: float) -> flo
     ceiling = 1.0 - max(backoff, CONSTRUCTION_MARGIN)
     if n_moments == 2:
         return min(eps, ceiling)  # attained away from the constructible ceiling
+    if n_moments >= 4:
+        # the mass freed must stand out of the rounding within which
+        # recover_atoms takes a pivot before the last for zero, or it is
+        # folded into the other atoms
+        backoff = max(backoff, 100.0 * tol)
     return min(max(eps - backoff, 0.0), ceiling)
 
 
@@ -163,13 +128,14 @@ def verify_witness(classes, n_moments: int, backoff: float = DEFAULT_BACKOFF,
     """Compute the bound, build its witness and check the certificate.
 
     Epsilons sitting on an unattained supremum are backed off by ``backoff``
-    before construction. The report records the worst relative moment mismatch
-    across classes and orders, the exact discrete Bayes error, and whether the
-    error covers the bound (error >= value - 1e-6 with mismatch <= 1e-9).
+    (with four or more moments, by at least 100 ``tol``) before construction.
+    The report records the worst relative moment mismatch across classes and
+    orders, the exact discrete Bayes error, and whether the error covers the
+    bound (error >= value - 1e-6 with mismatch <= 1e-9).
     """
     classes = list(classes)
     bound = lower_bound(classes, n_moments, tol=tol)
-    eps = [_backed_off(c, e, n_moments, backoff)
+    eps = [_backed_off(c, e, n_moments, backoff, tol)
            for c, e in zip(classes, bound.epsilons)]
     measures = build_witness(classes, bound.delta_star, eps,
                              n_moments=n_moments, tol=tol)

@@ -173,11 +173,18 @@ def test_witness_roundtrip(tmp_path, capsys):
         assert all(math.isfinite(a["x"]) for a in atoms)
 
 
-def test_witness_four_moments_unsupported(tmp_path, capsys):
+def test_witness_four_moments(tmp_path, capsys):
     path = write_problem(tmp_path, [
         {"prior": 0.5, "moments": [0, 1, 0, 3]},
         {"prior": 0.5, "moments": [2, 5, 14, 43]},
     ])
-    code, _, err = run(["witness", path], capsys)
-    assert code == 1
-    assert "UNSUPPORTED_RANK" in err
+    code, out, _ = run(["witness", path], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["report"]["certified"] is True
+    assert payload["report"]["lower"] == pytest.approx(0.25, abs=1e-12)
+    for atoms, fourth in zip(payload["measures"], (3.0, 43.0)):
+        masses = [a["mass"] for a in atoms]
+        assert sum(masses) == pytest.approx(1.0, abs=1e-9)
+        assert sum(w * a["x"] ** 4 for a, w in zip(atoms, masses)) == pytest.approx(
+            fourth, rel=1e-9)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from momentbounds import (
@@ -12,17 +14,15 @@ from momentbounds import (
     DiscreteMeasure,
     FeasibilityReason,
     InfeasibleSequenceError,
-    UnsupportedRankError,
     build_hankel,
     is_feasible,
     max_shared_mass,
     moments_of,
     overlap_fraction,
     recover_atoms,
-    sequence_rank,
     shift_moments,
 )
-from momentbounds.moments import shared_mass
+from momentbounds.moments import sequence_rank, shared_mass
 
 
 def random_measure(rng, max_atoms=4, min_atoms=1):
@@ -290,9 +290,19 @@ def test_recover_atoms_roundtrip_randomized():
             np.testing.assert_allclose(got, seq, rtol=1e-9, atol=1e-9)
 
 
-def test_recover_atoms_rejects_higher_order():
-    with pytest.raises(UnsupportedRankError):
-        recover_atoms([1.0, 0.0, 1.0, 0.0, 3.0])
+def test_recover_atoms_higher_order_roundtrip():
+    # positive definite, even n: the three-point Gauss rule closed with a zero
+    # last recurrence coefficient, here the Gauss-Hermite rule
+    measure = recover_atoms([1.0, 0.0, 1.0, 0.0, 3.0])
+    np.testing.assert_allclose(measure.atoms, [(-math.sqrt(3.0), 1.0 / 6.0), (0.0, 2.0 / 3.0),
+                                               (math.sqrt(3.0), 1.0 / 6.0)], atol=1e-12)
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        measure = random_measure(rng, max_atoms=6)
+        for n in range(4, 9):
+            seq = moments_of(measure, n)
+            got = moments_of(recover_atoms(seq), n)
+            np.testing.assert_allclose(got, seq, rtol=1e-9, atol=1e-9)
 
 
 def test_recover_atoms_rejects_infeasible():
@@ -313,6 +323,45 @@ def test_random_measures_always_feasible():
         for n in (2, 3, 4):
             verdict = is_feasible(moments_of(measure, n))
             assert verdict.feasible, (measure.atoms, n, verdict)
+
+
+# atoms nearer 0 than 1e-30 are put at 0: closer ones leave a spread whose
+# eighth power underflows, and the raw moments no longer describe the measure
+unit_atoms = st.lists(
+    st.tuples(st.floats(-1.0, 1.0).map(lambda z: z if abs(z) >= 1e-30 else 0.0),
+              st.floats(0.05, 1.0)),
+    min_size=1, max_size=6, unique_by=lambda a: a[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_atoms, st.integers(2, 8), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.booleans())
+def test_is_feasible_accepts_atomic_measures_anywhere(atoms, n, log_offset, log_scale, left):
+    # offsets +-10^[-2, 2] and scales 10^[-2, 2], so |offset| / scale up to
+    # 10^4, where raw moments of order 8 no longer pin the measure in double
+    # precision: acceptance must not depend on the placement
+    total = sum(w for _, w in atoms)
+    offset = (-1.0 if left else 1.0) * 10.0 ** log_offset
+    for x0, s in ((0.0, 1.0), (offset, 10.0 ** log_scale)):
+        measure = DiscreteMeasure.from_atoms((x0 + s * z, w / total) for z, w in atoms)
+        verdict = is_feasible(moments_of(measure, n))
+        assert verdict.feasible, (x0, s, verdict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_atoms, st.integers(2, 8), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0))
+def test_is_feasible_refuses_an_overdrawn_atom_anywhere(atoms, n, offset_in_span, log_scale):
+    # m atoms at least 0.2 apart with n >= 2m pin the measure; taking 1.5
+    # times an atom's mass away leaves no measure at all. Offsets up to the
+    # atoms' span keep the rounding of the shift far below the deficit
+    zs = sorted(z for z, _ in atoms)
+    assume(2 * len(atoms) <= n and all(b - a >= 0.2 for a, b in zip(zs, zs[1:])))
+    weights = [w for _, w in atoms]
+    weights[0] *= -0.5
+    scale = 10.0 ** log_scale
+    for x0, s in ((0.0, 1.0), (offset_in_span * (zs[-1] - zs[0]) * scale, scale)):
+        seq = [sum(w * (x0 + s * z) ** j for z, w in zip(zs, weights)) for j in range(n + 1)]
+        assert not is_feasible(seq).feasible, (x0, s)
 
 
 def test_shared_mass_monotone_below_supremum():
@@ -346,3 +395,15 @@ def test_discrete_measure_validation():
                                         merge_tol=1e-12)
     assert len(merged.atoms) == 2
     assert merged.total_mass == pytest.approx(1.0)
+    # four copies of one location stay one atom, though their running mean
+    # rounds away from it
+    weights = [0.11514250465492515, 0.18833641118360192, 0.21668306027493187,
+               0.22171451260646818]
+    copies = DiscreteMeasure.from_atoms([(-100.0, w) for w in weights])
+    assert len(copies.atoms) == 1
+    assert copies.total_mass == pytest.approx(sum(weights))
+    # nor does a merged mean round onto the neighbouring location one ulp down
+    lo, hi = -5.623413251903492, -5.623413251903491
+    ulp_apart = DiscreteMeasure.from_atoms([(lo, 0.25 / 2.9375), (hi, 0.5 / 2.9375),
+                                            (hi, 0.8125 / 2.9375)])
+    assert [x for x, _ in ulp_apart.atoms] == [lo, hi]

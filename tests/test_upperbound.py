@@ -1,6 +1,7 @@
 """Tests for the minimax threshold upper bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ def test_upper_bound_point_mass_against_spread_class():
     assert not res.clipped
     assert worst_error(make_class(0.5, 0.0, 0.0), make_class(0.5, 2.0, 1.0),
                        res.s_star) == res.value
+
+
+def test_upper_bound_subnormal_variance_is_silent():
+    # gap^2 / sigma^2 overflows to inf for a subnormal variance; the tail it
+    # gives, 0, is right and must come without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = upper_bound(ClassSpec(0.5, 0.0, 1e-316), ClassSpec(0.5, 1.0, 2.0))
+    assert res.value == 0.25
 
 
 @pytest.mark.parametrize("c1,c2", [

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentbounds import (
     ClassSpec,
     DiscreteMeasure,
     InfeasibleSequenceError,
-    UnsupportedRankError,
     build_witness,
     discrete_bayes_error,
     lower_bound,
@@ -160,9 +161,37 @@ def test_verify_witness_near_coincident_means():
         assert report.certified, (gap, report)
 
 
-def test_verify_witness_four_moments_unsupported():
+def test_verify_witness_four_moments():
+    # N(0, 1) against N(2, 1): the supremum 0.25 is not attained (at the
+    # unreduced shared mass the residual is a point mass short of its fourth
+    # moment), so the backed-off residuals carry two far atoms of tiny mass
     std = [0.0, 1.0, 0.0, 3.0]
     moved = shift_moments([1.0] + std, -2.0)[1:]
     classes = [ClassSpec.from_moments(0.5, std), ClassSpec.from_moments(0.5, moved)]
-    with pytest.raises(UnsupportedRankError):
-        verify_witness(classes, 4)
+    report = verify_witness(classes, 4)
+    assert report.certified
+    assert report.bound.value == pytest.approx(0.25, abs=1e-12)
+    assert report.moment_mismatch <= 1e-9
+    assert report.bayes_error >= 0.25 - 1e-6
+
+
+# atoms nearer 0 than 1e-30 are put at 0: closer ones leave a spread whose
+# fourth power underflows, and the raw moments no longer describe the class
+class_atoms = st.lists(
+    st.tuples(st.floats(-3.0, 3.0).map(lambda x: x if abs(x) >= 1e-30 else 0.0),
+              st.floats(0.05, 1.0)),
+    min_size=3, max_size=5, unique_by=lambda a: a[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_atoms, class_atoms, st.floats(0.2, 0.8), st.sampled_from([3, 4]))
+def test_verify_witness_certifies_three_and_four_moments(atoms1, atoms2, p1, n):
+    # skewed classes of three to five atoms: the n = 3 residual is backed off
+    # the unattained supremum, the n = 4 one too (see the four-moment test)
+    classes = []
+    for prior, atoms in ((p1, atoms1), (1.0 - p1, atoms2)):
+        total = sum(w for _, w in atoms)
+        measure = DiscreteMeasure(tuple((x, w / total) for x, w in atoms))
+        classes.append(ClassSpec.from_moments(prior, moments_of(measure, n)[1:]))
+    report = verify_witness(classes, n)
+    assert report.certified, (report.moment_mismatch, report.bayes_error, report.bound)
