@@ -248,8 +248,10 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     atoms of a singular A(r) reproduce the sequence up to gn. A feasible
     verdict reports the number of atoms pinning the sequence (k + 1 for a
     positive definite A(k)) as both ranks, and guarantees an atomic solution
-    exists; an infeasible one the rank of A(k) and the pivot that failed
-    (k + 1 for NOT_PSD).
+    exists; an infeasible one the rank of A(r) at the pivot r where the
+    factorization stopped (r + 1 when that pivot is negative, r when it is 0)
+    and that pivot (k + 1 for NOT_PSD). A sequence without mass has no frame
+    and reports the rank of its raw A(k).
     """
     g = _as_sequence(seq)
     n = g.size - 1
@@ -276,13 +278,11 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     fr = _standardize(g, tol)
     if fr.rank:
         return FeasibilityVerdict(True, FeasibilityReason.OK, fr.rank, fr.rank)
+    r = fr.inv_chol.shape[0]
     if fr.pivot < -fr.band:
-        reason, r = FeasibilityReason.NOT_PSD, k + 1
-    else:
-        reason = FeasibilityReason.RANGE_FAILURE if n % 2 else FeasibilityReason.RANK_MISMATCH
-        r = fr.inv_chol.shape[0]
-    return FeasibilityVerdict(False, reason,
-                              int(np.linalg.matrix_rank(build_hankel(fr.t).matrix)), r)
+        return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, r + 1, k + 1)
+    reason = FeasibilityReason.RANGE_FAILURE if n % 2 else FeasibilityReason.RANK_MISMATCH
+    return FeasibilityVerdict(False, reason, r, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +325,14 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
     ``seq`` is [1, g1, ..., gn] with n >= 2; only g0 .. g2k enter, k = n // 2.
     The sequence is standardized by its own mean and standard deviation once,
     here, so each evaluation of the returned map costs one small triangular
-    product. A sequence within its rounding of at most k atoms (see
-    ``_standardize``) shares mass only at them, the safe reading where the
-    moments do not pin the Christoffel function to ``tol``; a point mass is
-    the one-atom case.
+    product. The frame is judged against the doubles' own rounding (machine
+    epsilon), so the map stays put when the class moves along the line while
+    its raw moments pin it, and its last pivot is lowered by that rounding,
+    so the map errs low where they barely do. A(k) also counts as singular
+    when that pivot, the moment of pi_k^2, is at most ``tol`` times the
+    absolute moment of pi_k^2 in the standardized frame, which does not grow
+    with the offset. A singular class shares mass only at its Gauss atoms,
+    at most k; a point mass is the one-atom case.
     """
     g = _as_sequence(seq)
     k = (g.size - 1) // 2
@@ -340,11 +344,15 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
         return SharedMass(mean, 0.0, atoms=((mean, 1.0),))
     if k == 1:
         return SharedMass(mean, var)
-    fr = _standardize(g[:2 * k + 1], tol)
-    if fr.sd and fr.pivot > fr.band:
-        return SharedMass(mean, var, inv_chol=fr.inv_chol)
-    # within rounding of at most k atoms: share mass at them only
-    r = min(fr.rank, k)
+    fr = _standardize(g[:2 * k + 1], float(np.finfo(float).eps))
+    q = fr.inv_chol[-1]  # pi_k / sqrt(pivot) when A(k) is positive definite
+    if fr.sd and fr.pivot > fr.band and tol * np.abs(np.convolve(q, q)) @ np.abs(fr.t) < 1.0:
+        inv = fr.inv_chol.copy()
+        inv[-1] *= math.sqrt(fr.pivot / (fr.pivot - fr.band))
+        return SharedMass(mean, var, inv_chol=inv)
+    # singular, or infeasible beyond the rounding where the verdict's tol
+    # forgives it: share mass at the Gauss atoms only
+    r = min(fr.inv_chol.shape[0], k)
     x, w = _gauss(fr.t, fr.inv_chol[:r, :r])
     return SharedMass(mean, var, atoms=tuple(
         (fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)))

@@ -118,8 +118,8 @@ def _backed_off(c: ClassSpec, eps: float, n_moments: int, backoff: float,
     if n_moments >= 4:
         # the mass freed must stand out of the rounding within which
         # recover_atoms takes a pivot before the last for zero, or it is
-        # folded into the other atoms
-        backoff = max(backoff, 100.0 * tol)
+        # folded into the other atoms; the margin caps what a loose tol costs
+        backoff = max(backoff, min(100.0 * tol, CONSTRUCTION_MARGIN))
     return min(max(eps - backoff, 0.0), ceiling)
 
 
@@ -128,7 +128,8 @@ def verify_witness(classes, n_moments: int, backoff: float = DEFAULT_BACKOFF,
     """Compute the bound, build its witness and check the certificate.
 
     Epsilons sitting on an unattained supremum are backed off by ``backoff``
-    (with four or more moments, by at least 100 ``tol``) before construction.
+    (with four or more moments, by at least 100 ``tol`` up to
+    CONSTRUCTION_MARGIN) before construction.
     The report records the worst relative moment mismatch across classes and
     orders, the exact discrete Bayes error, and whether the error covers the
     bound (error >= value - 1e-6 with mismatch <= 1e-9).

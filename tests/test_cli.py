@@ -173,12 +173,15 @@ def test_witness_roundtrip(tmp_path, capsys):
         assert all(math.isfinite(a["x"]) for a in atoms)
 
 
-def test_witness_four_moments(tmp_path, capsys):
+# a looser verdict tolerance widens the n >= 4 back-off only up to the
+# construction margin, inside the 1e-6 certification slack
+@pytest.mark.parametrize("tol", ["1e-9", "1e-6"])
+def test_witness_four_moments(tmp_path, capsys, tol):
     path = write_problem(tmp_path, [
         {"prior": 0.5, "moments": [0, 1, 0, 3]},
         {"prior": 0.5, "moments": [2, 5, 14, 43]},
     ])
-    code, out, _ = run(["witness", path], capsys)
+    code, out, _ = run(["witness", path, "--tol", tol], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["certified"] is True

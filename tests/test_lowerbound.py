@@ -240,6 +240,27 @@ def test_shift_invariance_of_problem():
         assert shifted.delta_star == pytest.approx(base.delta_star - offset, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_higher_order_bound_survives_translation(n):
+    # raw double moments at offset c pin the standardized g_n to about
+    # eps (c / sd)^n: n = 4 and 5 stay pinned up to c = 1e3 (sd ~ 1 here),
+    # n = 6 up to c = 10; beyond that the bound may only drop, never rise
+    loss = {10.0: 1e-9, 100.0: 1e-6, 1e3: 1e-2} if n < 6 else {10.0: 1e-6}
+    for seed in range(3, 8):
+        rng = np.random.default_rng(seed)
+        base = [(rng.uniform(-2, 2, 5), rng.dirichlet(np.ones(5))) for _ in range(2)]
+
+        def bound(offset):
+            return lower_bound([ClassSpec.from_moments(0.5, moments_of(
+                DiscreteMeasure(tuple(zip(offset + x, w))), n)[1:]) for x, w in base], n).value
+
+        ref = bound(0.0)
+        for offset in (10.0, 100.0, 1e3):
+            value = bound(offset)
+            assert value <= ref + 1e-12, (seed, offset, value, ref)
+            assert value >= ref - loss.get(offset, math.inf), (seed, offset, value, ref)
+
+
 def test_objective_dominates_min_form():
     rng = np.random.default_rng(26)
     for _ in range(20):
