@@ -1,4 +1,5 @@
-"""One-dimensional search helpers: coarse grid scan plus golden-section refinement."""
+"""One-dimensional search helpers: coarse grid scan plus golden-section
+refinement, and real polynomial roots for many rows at once."""
 
 from __future__ import annotations
 
@@ -68,3 +69,36 @@ def grid_golden_max(f_vec, lo: float, hi: float, num: int = 10_001,
     if f_ref >= vals[i]:
         return x_ref, f_ref
     return float(xs[i]), float(vals[i])
+
+
+def _columns(*values) -> list[np.ndarray]:
+    """The values (floats or columns) as (rows, 1) columns of one length."""
+    cols = [np.asarray(v, dtype=float).reshape(-1, 1) for v in values]
+    rows = max(len(c) for c in cols)
+    return [c if len(c) == rows else c.repeat(rows, axis=0) for c in cols]
+
+
+def _real_roots(coef: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row's polynomial, NaN-padded.
+
+    Row by row these are ``numpy.roots``: leading zeros are dropped, each
+    zero at the low end is a root at 0 (listed last), and the rest are the
+    eigenvalues of the companion matrix (Edelman & Murakami, *Math. Comp.*
+    1995); a row of zeros has none. Rows of one degree share one eigvals call.
+    """
+    rows, size = coef.shape
+    out = np.full((rows, size - 1), np.nan)
+    nonzero = coef != 0.0
+    low, high = nonzero.argmax(1), size - 1 - nonzero[:, ::-1].argmax(1)
+    deg = np.where(nonzero.any(1), high - low, -1)
+    for d in sorted(set(deg.tolist()) - {-1, 0}):  # not np.unique: it maps ~1 MB
+        r = (deg == d).nonzero()[0]
+        p = coef[r[:, None], high[r, None] - np.arange(d + 1)]  # highest first
+        companion = np.zeros((len(r), d * d))
+        companion[:, d::d + 1] = 1.0  # the subdiagonal
+        companion[:, :d] = -p[:, 1:] / p[:, :1]
+        out[r, :d] = np.linalg.eigvals(companion.reshape(-1, d, d)).real
+    if low.any():  # zero roots, after the eigenvalues
+        col = np.arange(size - 1) - deg[:, None]
+        out[(deg[:, None] >= 0) & (col >= 0) & (col < low[:, None])] = 0.0
+    return out

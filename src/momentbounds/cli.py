@@ -14,15 +14,18 @@ Exit codes: 0 success, 1 domain infeasibility or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
+import numpy as np
+
 from . import moments as mm
 from .errors import InfeasibleSequenceError
 from .gaussian import GaussianPair, gaussian_pair_bayes_error
-from .lowerbound import ClassSpec, lower_bound
-from .upperbound import trivial_upper_bound, upper_bound
+from .lowerbound import ClassSpec, _two_moment_rows, lower_bound
+from .upperbound import _upper_rows, trivial_upper_bound, upper_bound
 from .witness import verify_witness
 
 
@@ -54,11 +57,15 @@ def _parse_range(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected FROM:TO:STEP, got {text!r}")
     if step <= 0.0 or stop < start:
         raise argparse.ArgumentTypeError("range requires STEP > 0 and TO >= FROM")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not all(map(math.isfinite, (start, stop, step, span))):
+        raise argparse.ArgumentTypeError(f"range and point count must be finite, got {text!r}")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process (its defaults are shared)."""
     parser = argparse.ArgumentParser(
         prog="momentbounds",
         description="Bounds on the worst-case Bayes error given class priors and raw moments.")
@@ -187,22 +194,24 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """All (sigma2sq, mu2) rows in one batched pass; a refused row prints none."""
     priors = args.priors
     if len(priors) != 2 or abs(priors[0] + priors[1] - 1.0) > 1e-12:
         raise ValueError("sweep needs exactly two priors summing to 1")
     if args.sigma1sq <= 0.0 or any(v <= 0.0 for v in args.sigma2sq):
         raise ValueError("sweep variances must be positive")
-    print("mu2,sigma2sq,lower,upper,gaussian")
-    for s2sq in args.sigma2sq:
-        for mu2 in args.mu2:
-            c1 = ClassSpec(priors[0], 0.0, args.sigma1sq)
-            c2 = ClassSpec(priors[1], mu2, mu2 * mu2 + s2sq)
-            low = lower_bound([c1, c2], 2).value
-            up = upper_bound(c1, c2).value
-            gauss = gaussian_pair_bayes_error(GaussianPair(
-                mu1=0.0, mu2=mu2, sigma1sq=args.sigma1sq, sigma2sq=s2sq,
-                p1=priors[0], p2=priors[1]))
-            print(",".join([_fmt(mu2), _fmt(s2sq), _fmt(low), _fmt(up), _fmt(gauss)]))
+    s2sq, mu2 = (a.reshape(-1, 1) for a in np.meshgrid(args.sigma2sq, args.mu2, indexing="ij"))
+    c1 = ClassSpec(priors[0], 0.0, args.sigma1sq)
+    with np.errstate(over="ignore"):  # refused below as a non-finite moment
+        c2 = ClassSpec(priors[1], mu2, mu2 * mu2 + s2sq)
+    low = _two_moment_rows(c1, c2)
+    up = _upper_rows(c1, c2)[0]
+    lines = ["mu2,sigma2sq,lower,upper,gaussian"]
+    for m, v, lo, hi in zip(*(a.ravel().tolist() for a in (mu2, s2sq, low, up))):
+        gauss = gaussian_pair_bayes_error(GaussianPair(
+            mu1=0.0, mu2=m, sigma1sq=args.sigma1sq, sigma2sq=v, p1=priors[0], p2=priors[1]))
+        lines.append(",".join([_fmt(m), _fmt(v), _fmt(lo), _fmt(hi), _fmt(gauss)]))
+    print("\n".join(lines))
     return 0
 
 

@@ -16,6 +16,7 @@ roots of polynomials (companion-matrix eigenvalues; Edelman & Murakami,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import moments as mm
-from ._search import grid_golden_max
+from ._search import _columns, _real_roots, grid_golden_max
 from .errors import InfeasibleSequenceError
 
 #: number of scan points for the shift search with three or more classes.
@@ -44,7 +45,8 @@ class ClassSpec:
 
     ``gamma2`` may be omitted for problems that only pin the first moments.
     ``higher`` holds gamma3 onward. Feasibility of the class's own sequence is
-    checked where it matters (``lower_bound``), not at construction.
+    checked where it matters (``lower_bound``), not at construction. The
+    batched two-moment paths take (rows, 1) columns as gamma1 and gamma2.
     """
 
     prior: float
@@ -115,8 +117,8 @@ def _objective_vec(classes, deltas: np.ndarray, masses=None) -> np.ndarray:
     classes' shared-mass maps and defaults to their two-moment ones."""
     if masses is None:
         masses = [mm.shared_mass(c.moment_sequence(2)) for c in classes]
-    w = np.vstack([m(deltas, c.prior) for c, m in zip(classes, masses)])
-    return w.sum(axis=0) - w.max(axis=0)
+    w = [m(deltas, c.prior) for c, m in zip(classes, masses)]
+    return sum(w) - functools.reduce(np.maximum, w)
 
 
 def objective(classes, delta: float) -> float:
@@ -128,8 +130,9 @@ def objective(classes, delta: float) -> float:
     return max(val, 0.0)
 
 
-def _inverse_mass_poly(m: mm.SharedMass, center: float, scale: float) -> np.ndarray:
-    """1/eps(delta) in powers of u = (delta - center) / scale, lowest first.
+def _inverse_mass_poly(m: mm.SharedMass, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """1/eps(delta) in powers of u = (delta - center) / scale, lowest first,
+    one row per row of the columns ``center`` and ``scale``.
 
     In the class's own frame t = (delta - mean) / sd, 1/eps = v^T M v with
     v = (1, t, .., t^k) and M = inv_chol^T inv_chol (the identity for k = 1),
@@ -140,13 +143,55 @@ def _inverse_mass_poly(m: mm.SharedMass, center: float, scale: float) -> np.ndar
     coef = np.zeros(2 * k + 1)
     for i in range(k + 1):
         coef[i:i + k + 1] += gram[i]
-    sd = math.sqrt(m.var)
-    t = np.array([(center - m.mean) / sd, scale / sd])
-    out = coef[-1:]
-    for c in coef[-2::-1]:  # Horner's rule in t = t[0] + t[1] u
-        out = np.convolve(out, t)
-        out[0] += c
+    sd = np.sqrt(m.var)
+    t0, t1 = (center - m.mean) / sd, scale / sd
+    out = coef[None, -1:]
+    for c in coef[-2::-1]:  # Horner's rule in t = t0 + t1 u, rounded as np.convolve
+        low, high = out * t0, out * t1
+        out = np.concatenate([low, high[:, -1:]], axis=1)
+        out[:, 1:-1] += high[:, :-1]
+        out[:, 0] += c
     return out
+
+
+def _shift_two_class(c1: ClassSpec, c2: ClassSpec, masses) -> np.ndarray:
+    """``optimal_shift_two_class`` for each row of two classes: a column."""
+    classes = [c1, c2]
+    mean1, var1, mean2, var2 = _columns(masses[0].mean, masses[0].var,
+                                        masses[1].mean, masses[1].var)
+    atoms = [x for m in masses for x, _ in m.atoms]
+    cands = [mean1, mean2] + [np.full(mean1.shape, x) for x in atoms]
+    # a singular class shares mass only at its atoms (a point mass at its mean)
+    regular = (var1 > 0.0) & (var2 > 0.0) & (not atoms)
+    if regular.any():
+        narrow = var1 <= var2
+        center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p1, p2 = (np.where(regular, _inverse_mass_poly(m, center, scale), 0.0)
+                      for m in masses)
+        cross, deg = c1.prior * p2 - c2.prior * p1, p1.shape[1] - 1
+        roots = [_real_roots(cross)]
+        if deg > 2:
+            # the value at a crossing (a kink) inherits the root's error, and for
+            # k >= 2 the composed polynomials carry more rounding than the maps:
+            # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
+            u, order = roots[0], np.arange(1, deg + 1)
+            dp1, dp2 = (p[:, 1:] * order for p in (p1, p2))
+            w1, w2 = (c.prior * m(center + scale * u) for c, m in zip(classes, masses))
+            powers = np.vander(u.ravel(), deg + 1, increasing=True).reshape(*u.shape, deg + 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dlog1, dlog2 = ((powers[..., :-1] @ dp[..., None] / (powers @ p[..., None]))
+                                [..., 0] for p, dp in ((p1, dp1), (p2, dp2)))
+                roots.append(u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
+            roots += [_real_roots(dp1), _real_roots(dp2)]
+        u = np.concatenate(roots, axis=1)
+        d = np.where(np.isfinite(u), center + scale * u, np.nan)
+        # one side of a crossing is steep: a neighbour can beat the rounded root
+        cands += [d, np.nextafter(d, math.inf), np.nextafter(d, -math.inf)]
+    cands = np.concatenate(cands, axis=1)
+    vals = _objective_vec(classes, cands, masses)
+    vals[np.isnan(cands)] = -np.inf
+    return cands[np.arange(len(cands)), vals.argmax(axis=1)][:, None]
 
 
 def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, masses=None) -> float:
@@ -159,34 +204,11 @@ def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, masses=None) -> float:
     eigenvalues, real parts, in the frame of the narrower class, near which
     the crossings sit) and their neighbours one ulp away join the means and
     the atoms of singular classes as candidates; the best one is returned.
+    The same code answers many rows of two-moment classes at once.
     """
-    classes = [c1, c2]
     if masses is None:
-        masses = [mm.shared_mass(c.moment_sequence(2)) for c in classes]
-    cands = [np.array([c.gamma1 for c in classes] + [x for m in masses for x, _ in m.atoms])]
-    if not any(m.atoms for m in masses):  # a singular class shares mass only at its atoms
-        narrow = min(masses, key=lambda m: m.var)
-        center, scale = narrow.mean, math.sqrt(narrow.var)
-        p1, p2 = (_inverse_mass_poly(m, center, scale) for m in masses)
-        cross, deg = c1.prior * p2 - c2.prior * p1, p1.size - 1
-        roots = [np.roots(cross[::-1]).real]
-        if deg > 2:
-            # the value at a crossing (a kink) inherits the root's error, and for
-            # k >= 2 the composed polynomials carry more rounding than the maps:
-            # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
-            u, order = roots[0], np.arange(1, deg + 1)
-            w1, w2 = (c.prior * m(center + scale * u) for c, m in zip(classes, masses))
-            powers = np.vander(u, deg + 1, increasing=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlog1, dlog2 = (powers[:, :-1] @ (p[1:] * order) / (powers @ p) for p in (p1, p2))
-                roots.append(u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
-            roots += [np.roots((p[1:] * order)[::-1]).real for p in (p1, p2)]
-        u = np.concatenate(roots)
-        d = center + scale * u[np.isfinite(u)]
-        # one side of a crossing is steep: a neighbour can beat the rounded root
-        cands += [d, np.nextafter(d, math.inf), np.nextafter(d, -math.inf)]
-    cands = np.concatenate(cands)
-    return float(cands[int(np.argmax(_objective_vec(classes, cands, masses)))])
+        masses = [mm.shared_mass(c.moment_sequence(2)) for c in (c1, c2)]
+    return float(_shift_two_class(c1, c2, masses)[0, 0])
 
 
 def optimal_shift_numeric(classes, masses=None) -> float:
@@ -282,3 +304,23 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
     attained = n_moments == 2 and all(e < 1.0 or max(c.sigma2, 0.0) == 0.0
                                       for c, e in zip(classes, eps))
     return LowerBoundResult(float(value), float(delta), eps, attained, method)
+
+
+def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, tol: float = mm.DEFAULT_TOL) -> np.ndarray:
+    """``lower_bound([c1, c2], 2, tol).value`` for every row of moment columns
+    at once, each row checked first as ``lower_bound`` checks it."""
+    classes = [c1, c2]
+    _validate_problem(classes, 2)
+    masses = []
+    for i, c in enumerate(classes):
+        mean, h2 = _columns(c.gamma1, c.gamma2)
+        if not (np.isfinite(mean).all() and np.isfinite(h2).all()):
+            raise ValueError("moments must be finite")
+        var, short = mm._two_moment_variance(mean, h2, tol)
+        if short.any():
+            raise InfeasibleSequenceError(
+                f"class {i} moment sequence is infeasible ({mm.FeasibilityReason.NOT_PSD.value})")
+        masses.append(mm.SharedMass(mean, np.maximum(var, 0.0)))
+    delta = _shift_two_class(c1, c2, masses)
+    w1, w2 = (c.prior * m(delta) for c, m in zip(classes, masses))  # as lower_bound sums them
+    return np.maximum(w1 + w2 - np.maximum(w1, w2), 0.0)

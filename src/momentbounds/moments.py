@@ -241,6 +241,13 @@ def sequence_rank(seq, tol: float = DEFAULT_TOL) -> int:
     return is_feasible(seq, tol).rank_gamma
 
 
+def _two_moment_variance(mean, h2, tol: float):
+    """h2 - mean^2, and whether it is below 0 beyond tol times its rounding
+    (NOT_PSD); floats or arrays."""
+    var = h2 - mean * mean
+    return var, var < -tol * (3.0 * mean * mean + abs(h2))
+
+
 def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     """Decide whether [g0..gn] are the moments of some positive measure.
 
@@ -263,8 +270,8 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     if k == 1:  # scalars only: the variance, then a point mass's third moment
         g0, g1, g2 = g[:3].tolist()
         mean, h2 = g1 / g0, g2 / g0
-        var = h2 - mean * mean
-        if var < -tol * (3.0 * mean * mean + abs(h2)):
+        var, short = _two_moment_variance(mean, h2, tol)
+        if short:
             return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2)
         if var > 0.0:
             return FeasibilityVerdict(True, FeasibilityReason.OK, 2, 2)
@@ -290,13 +297,15 @@ class SharedMass:
     """The map delta -> largest Dirac mass a probability sequence allows at delta.
 
     With k = 1 (two or three moments) the value is
-    sigma^2 / (sigma^2 + (delta - mean)^2).
+    sigma^2 / (sigma^2 + (delta - mean)^2); ``mean`` and ``var`` may be
+    (rows, 1) columns of many classes, and the map broadcasts over them.
     For k >= 2 it is the Christoffel function 1 / |L^-1 v|^2, where L is the
     Cholesky factor of A(k) in the frame t = (delta - mean) / sigma and
-    v = (1, t, ..., t^k); ``inv_chol`` holds L^-1. A sequence whose A(k) is
-    singular has a single representing measure with at most k atoms:
-    ``atoms`` lists them, and the mass is an atom's weight at that atom and 0
-    elsewhere.
+    v = (1, t, ..., t^k); ``inv_chol`` holds L^-1. A zero ``var`` is a point
+    mass: the mass is 1 at the mean and 0 elsewhere. Any other sequence
+    whose A(k) is singular has a single representing measure with at most k
+    atoms: ``atoms`` lists them, and the mass is an atom's weight at that
+    atom and 0 elsewhere.
     """
 
     mean: float
@@ -305,7 +314,8 @@ class SharedMass:
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __call__(self, deltas, scale: float = 1.0) -> np.ndarray:
-        """``scale`` times the mass at each delta, same shape as ``deltas``."""
+        """``scale`` times the mass at each delta, ``deltas`` broadcast
+        against ``mean`` and ``var``."""
         d = np.asarray(deltas, dtype=float)
         if self.atoms:
             out = np.zeros(d.shape)
@@ -313,7 +323,13 @@ class SharedMass:
                 out = np.where(d == x, scale * w, out)
             return out
         if self.inv_chol is None:
-            return scale * self.var / (self.var + (d - self.mean) ** 2)
+            # np.square: a numpy scalar's ** 2 can round off an array's x * x
+            gap = d - self.mean
+            if np.ndim(self.var) == 0 and self.var > 0.0:  # one class: skip the mask
+                return scale * self.var / (self.var + np.square(gap))
+            point = np.where(gap == 0.0, scale, 0.0)  # the mass where var = 0
+            return np.divide(scale * self.var, self.var + np.square(gap), out=point,
+                             where=self.var > 0.0)
         t = (d - self.mean) / math.sqrt(self.var)
         w = np.vander(t.ravel(), self.inv_chol.shape[0], increasing=True) @ self.inv_chol.T
         return (scale / np.einsum("ij,ij->i", w, w)).reshape(d.shape)
@@ -332,7 +348,7 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
     when that pivot, the moment of pi_k^2, is at most ``tol`` times the
     absolute moment of pi_k^2 in the standardized frame, which does not grow
     with the offset. A singular class shares mass only at its Gauss atoms,
-    at most k; a point mass is the one-atom case.
+    at most k; a point mass (zero variance) only at its mean.
     """
     g = _as_sequence(seq)
     k = (g.size - 1) // 2
@@ -340,9 +356,7 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
         raise ValueError("need at least the first and second moments")
     mean = float(g[1])
     var = max(float(g[2]) - mean * mean, 0.0)
-    if var == 0.0:
-        return SharedMass(mean, 0.0, atoms=((mean, 1.0),))
-    if k == 1:
+    if k == 1 or var == 0.0:
         return SharedMass(mean, var)
     fr = _standardize(g[:2 * k + 1], float(np.finfo(float).eps))
     q = fr.inv_chol[-1]  # pi_k / sqrt(pivot) when A(k) is positive definite

@@ -4,9 +4,22 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentbounds import cli, normal_cdf
+from momentbounds import (
+    ClassSpec,
+    GaussianPair,
+    cli,
+    gaussian_pair_bayes_error,
+    lower_bound,
+    normal_cdf,
+    upper_bound,
+)
+from momentbounds.lowerbound import _two_moment_rows
+from momentbounds.upperbound import _upper_rows
 
 
 def run(argv, capsys):
@@ -191,3 +204,109 @@ def test_witness_four_moments(tmp_path, capsys, tol):
         assert sum(masses) == pytest.approx(1.0, abs=1e-9)
         assert sum(w * a["x"] ** 4 for a, w in zip(atoms, masses)) == pytest.approx(
             fourth, rel=1e-9)
+
+
+def test_sweep_parser_defaults_survive_reuse(capsys):
+    # the parser is built once per process; a sweep with its own grid must
+    # leave the shared defaults of the next default sweep untouched
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(["sweep", "--mu2", "0:1:1", "--sigma2sq", "2"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2
+    code, out, _ = run(["sweep"], capsys)
+    assert code == 0
+    assert out == SWEEP_SNAPSHOT.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("spec", ["inf:1:1", "0:inf:1", "0:1:inf",
+                                  "nan:1:1", "0:nan:1", "0:1:nan",
+                                  "-inf:0:1", "-1e308:1e308:1"])
+def test_sweep_range_rejects_non_finite(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", f"--mu2={spec}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--mu2" in err
+
+
+def test_refused_sweep_prints_no_rows(capsys):
+    # row 0 answers, row 1 squares mu2 past the double range: the whole grid
+    # is checked before any row is printed
+    code, out, err = run(["sweep", "--mu2", "0:1e160:1e159"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "moments must be finite" in err
+
+
+def one_row_line(mu2, s1, s2, p1, p2):
+    """A sweep row computed by the one-row public functions."""
+    c1, c2 = ClassSpec(p1, 0.0, s1), ClassSpec(p2, mu2, mu2 * mu2 + s2)
+    gauss = gaussian_pair_bayes_error(GaussianPair(mu1=0.0, mu2=mu2, sigma1sq=s1,
+                                                   sigma2sq=s2, p1=p1, p2=p2))
+    values = [mu2, s2, lower_bound([c1, c2], 2).value, upper_bound(c1, c2).value, gauss]
+    return ",".join(format(v, ".12g") for v in values)
+
+
+def assert_rows_match_one_row_calls(mu2s, s1, s2s, p1, p2):
+    # the batched pass over the grid, bit for bit against one call per row
+    s2, mu2 = (a.reshape(-1, 1) for a in np.meshgrid(s2s, mu2s, indexing="ij"))
+    c1, c2 = ClassSpec(p1, 0.0, s1), ClassSpec(p2, mu2, mu2 * mu2 + s2)
+    low = _two_moment_rows(c1, c2)
+    up, s_star, clipped = _upper_rows(c1, c2)
+    for i, (m, v) in enumerate(zip(mu2.ravel().tolist(), s2.ravel().tolist())):
+        one = [ClassSpec(p1, 0.0, s1), ClassSpec(p2, m, m * m + v)]
+        ub = upper_bound(*one)
+        assert low[i, 0] == lower_bound(one, 2).value, (m, v)
+        assert (up[i, 0], s_star[i, 0], clipped[i, 0]) == (ub.value, ub.s_star, ub.clipped), (m, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu2s=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+       log_s1=st.floats(-3.0, 3.0),
+       log_s2s=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       p1=st.floats(0.05, 0.95))
+def test_sweep_rows_equal_one_row_calls(mu2s, log_s1, log_s2s, p1):
+    assert_rows_match_one_row_calls(mu2s, 10.0 ** log_s1, [10.0 ** e for e in log_s2s],
+                                    p1, 1.0 - p1)
+
+
+@pytest.mark.parametrize("argv, grid", [
+    # equal priors and variances at mu2 = 0: the crossing polynomial is all zeros
+    (["--mu2", "0:0:1", "--sigma2sq", "1"], ([0.0], 1.0, [1.0], 0.5, 0.5)),
+    # 1e16 + 1e-10 rounds to 1e16: class 2 is a point mass
+    (["--mu2", "1e8:1e8:1", "--sigma2sq", "1e-10"], ([1e8], 1.0, [1e-10], 0.5, 0.5)),
+    # negative mu2 puts class 2 left of class 1 (a leading '-' needs --mu2=)
+    (["--mu2=-3:3:0.5", "--priors", "0.3,0.7"],
+     ([-3.0 + 0.5 * i for i in range(13)], 1.0, [1.0, 5.0], 0.3, 0.7)),
+])
+def test_sweep_edge_rows_equal_one_row_calls(argv, grid, capsys):
+    code, out, _ = run(["sweep", *argv], capsys)
+    assert code == 0
+    mu2s, s1, s2s, p1, p2 = grid
+    assert_rows_match_one_row_calls(mu2s, s1, s2s, p1, p2)
+    expected = [one_row_line(m, s1, v, p1, p2) for v in s2s for m in mu2s]
+    assert out.splitlines()[1:] == expected
+
+
+def test_sweep_point_mass_row_value(capsys):
+    code, out, _ = run(["sweep", "--mu2", "1e8:1e8:1", "--sigma2sq", "1e-10"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "100000000,1e-10,0,5e-17,0"
+
+
+def test_sweep_solves_roots_per_degree_not_per_row(monkeypatch, capsys):
+    # the default sweep's 502 rows share a handful of eigenvalue calls, one
+    # per polynomial degree, not one or more per row
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    code, out, _ = run(["sweep"], capsys)
+    assert code == 0
+    assert out == SWEEP_SNAPSHOT.read_text(encoding="utf-8")
+    assert 1 <= len(calls) <= 6, calls
