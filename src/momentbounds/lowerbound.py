@@ -11,7 +11,8 @@ moments constrain it. The certified bound is
 
 maximized over the shared location: exactly for two classes, among the real
 roots of polynomials (companion-matrix eigenvalues; Edelman & Murakami,
-*Math. Comp.* 1995), by a grid plus golden-section search for three or more.
+*Math. Comp.* 1995), by a grid scan refined in batched bracket passes for
+three or more.
 """
 
 from __future__ import annotations
@@ -217,10 +218,12 @@ def optimal_shift_numeric(classes, masses=None) -> float:
     ``lower_bound`` uses it for G >= 3: exact enumeration there needs roots of
     degree (2k - 1) + 4k(G - 2) and was about three times slower at G = 5.
     ``masses`` are the classes' shared-mass maps (default: two-moment ones).
-    Scans 10,001 points on [min mean - 10 max sd, max mean + 10 max sd] with
-    the class means and the atoms of singular classes appended as candidates,
-    then refines the best bracket by golden section to width 1e-10. If every
-    class is a point mass the candidates are the only informative points."""
+    Scans 10,001 points on [min mean - 10 max sd, max mean + 10 max sd] and,
+    in the same call, the class means and the atoms of singular classes, then
+    refines the best point's bracket in batched passes until it no longer
+    shrinks in doubles (``_search.grid_golden_max``), so the result scales
+    with the problem's units. If every class is a point mass the candidates
+    are the only informative points."""
     classes = list(classes)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
@@ -235,7 +238,7 @@ def optimal_shift_numeric(classes, masses=None) -> float:
     lo = min(means) - 10.0 * smax
     hi = max(means) + 10.0 * smax
     x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, masses), lo, hi,
-                           num=GRID_POINTS, width=1e-10, extra=cands)
+                           num=GRID_POINTS, extra=cands)
     return float(x)
 
 

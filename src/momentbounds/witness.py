@@ -113,8 +113,6 @@ def _backed_off(c: ClassSpec, eps: float, n_moments: int, backoff: float,
     if n_moments == 1:
         return max(eps - backoff, 0.0)
     ceiling = 1.0 - max(backoff, CONSTRUCTION_MARGIN)
-    if n_moments == 2:
-        return min(eps, ceiling)  # attained away from the constructible ceiling
     if n_moments >= 4:
         # the mass freed must stand out of the rounding within which
         # recover_atoms takes a pivot before the last for zero, or it is
@@ -127,9 +125,10 @@ def verify_witness(classes, n_moments: int, backoff: float = DEFAULT_BACKOFF,
                    tol: float = mm.DEFAULT_TOL) -> WitnessReport:
     """Compute the bound, build its witness and check the certificate.
 
-    Epsilons sitting on an unattained supremum are backed off by ``backoff``
-    (with four or more moments, by at least 100 ``tol`` up to
-    CONSTRUCTION_MARGIN) before construction.
+    Epsilons are backed off by ``backoff`` (with four or more moments, by at
+    least 100 ``tol`` up to CONSTRUCTION_MARGIN) before construction: at an
+    unattained supremum the residual is no measure, and at an attained one
+    its variance can round below zero.
     The report records the worst relative moment mismatch across classes and
     orders, the exact discrete Bayes error, and whether the error covers the
     bound (error >= value - 1e-6 with mismatch <= 1e-9).

@@ -22,6 +22,7 @@ from momentbounds import (
     overlap_fraction,
     shift_moments,
 )
+from momentbounds._search import grid_golden_max
 from momentbounds.lowerbound import _objective_vec
 from momentbounds.moments import shared_mass
 
@@ -147,6 +148,19 @@ def test_numeric_beats_dense_grid_three_class():
     # and never below the midpoint rule of the weaker min-based bound
     means = [c.gamma1 for c in classes]
     assert objective(classes, d) >= objective(classes, 0.5 * (min(means) + max(means)))
+    # G = 3..6 five-atom classes, with the two- and four-moment maps
+    rng = np.random.default_rng(31)
+    for G in range(3, 7):
+        for n in (2, 4):
+            priors = rng.dirichlet(np.full(G, 2.0)) * 0.8 + 0.2 / G
+            classes = [atomic_class(p, list(zip(1.5 * i + rng.uniform(-2.0, 2.0, 5),
+                                                rng.uniform(0.1, 1.0, 5))))
+                       for i, p in enumerate(priors)]
+            masses = [shared_mass(c.moment_sequence(n)) for c in classes]
+            d = optimal_shift_numeric(classes, masses)
+            _, oracle = grid_sup_objective(classes, num=100_001, masses=masses)
+            value = float(_objective_vec(classes, np.array([d]), masses)[0])
+            assert value >= oracle - 1e-12, (G, n, value, oracle)
 
 
 def test_lower_bound_equal_variance_formula():
@@ -358,3 +372,47 @@ def test_two_class_shift_is_never_beaten_by_a_grid(atoms1, atoms2, p1, n):
     numeric = optimal_shift_numeric(classes, masses)
     assert exact >= oracle - 1e-12
     assert exact >= float(_objective_vec(classes, np.array([numeric]), masses)[0]) - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(atom_lists, min_size=3, max_size=5), st.sampled_from([2, 3, 4]),
+       st.none() | st.lists(st.floats(0.2, 1.0), min_size=5, max_size=5),
+       st.integers(-20, 20))
+def test_numeric_bound_commutes_with_binary_rescaling(atoms, n, weights, k):
+    # moment j times 2^(k j) is exact in binary, so a search that refines to
+    # double resolution (no absolute width) must move delta* by exactly 2^k
+    G = len(atoms)
+    if weights is None:
+        priors = [1.0 / G] * G
+    else:
+        head = [w / sum(weights[:G]) for w in weights[:G - 1]]
+        priors = head + [1.0 - math.fsum(head)]
+    classes = [atomic_class(p, a) for p, a in zip(priors, atoms)]
+    scaled = [ClassSpec.from_moments(c.prior, [math.ldexp(m, k * j) for j, m in
+                                               enumerate(c.moment_sequence(n)[1:], 1)])
+              for c in classes]
+    base, moved = lower_bound(classes, n), lower_bound(scaled, n)
+    assert base.method is BoundMethod.NUMERIC
+    assert moved.value == base.value
+    assert moved.delta_star == math.ldexp(base.delta_star, k)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_grid_search_refines_a_kink_to_double_resolution(scale):
+    peak = math.pi / 7.0 * scale
+    lo, hi, extra = -3.0 * scale, 5.0 * scale, [2.0 * scale, 9.0 * scale]
+
+    def kink(x):
+        return -np.abs(x - peak)
+
+    scanned = np.concatenate([np.linspace(lo, hi, 10_001), np.clip(extra, lo, hi)])
+    x, value = grid_golden_max(kink, lo, hi, extra=extra)
+    assert abs(x - peak) <= 4.0 * math.ulp(peak)
+    assert value == kink(np.array([x]))[0] >= kink(scanned).max()
+    # a spike at a candidate off the grid beats every point near the kink
+    spike = extra[0] * (1.0 + 1e-9)
+
+    def spiked(x):
+        return np.where(x == spike, 1.0, kink(x))
+
+    assert grid_golden_max(spiked, lo, hi, extra=[spike]) == (spike, 1.0)

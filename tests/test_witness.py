@@ -1,5 +1,7 @@
 """Tests for witness construction and exact discrete Bayes error."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from momentbounds import (
     DiscreteMeasure,
     InfeasibleSequenceError,
     build_witness,
+    cli,
     discrete_bayes_error,
     lower_bound,
     moments_of,
@@ -159,6 +162,30 @@ def test_verify_witness_near_coincident_means():
                    ClassSpec(1 / 3, 5.0, 26.0)]
         report = verify_witness(classes, 2)
         assert report.certified, (gap, report)
+
+
+# five equal-prior two-moment classes: at the attained shared masses one
+# residual's variance rounds to -2.3e-16, below its rounding band of 7.7e-17,
+# unless the two-moment epsilons are backed off like the others
+FIVE_CLASS_MOMENTS = [
+    [-0.04283217512073763, 0.2360176057985537],
+    [0.6520990826320815, 0.5664852365396975],
+    [1.1617563276806067, 1.6083950477470597],
+    [1.8034068743817477, 3.462394501433854],
+    [2.6500673046693124, 7.208993737760832],
+]
+
+
+def test_witness_five_classes_two_moments(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(
+        {"classes": [{"prior": 0.2, "moments": m} for m in FIVE_CLASS_MOMENTS]}))
+    code = cli.main(["witness", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["report"]["certified"] is True
+    assert payload["report"]["moment_mismatch"] <= 1e-9
+    assert payload["report"]["bayes_error"] >= payload["report"]["lower"] - 1e-6
 
 
 def test_verify_witness_four_moments():
