@@ -8,6 +8,9 @@ import numpy as np
 _INVPHI = (5.0 ** 0.5 - 1.0) / 2.0
 _MAX_GOLDEN_ITER = 200
 
+#: points of the coarse scan.
+GRID_POINTS = 10_001
+
 #: points per refinement pass; each pass narrows the bracket (n - 1) / 2 times.
 PASS_POINTS = 33
 
@@ -46,11 +49,11 @@ def golden_max(f, lo: float, hi: float, width: float = 1e-10):
     return x, f(x)
 
 
-def grid_golden_max(f_vec, lo: float, hi: float, num: int = 10_001, extra=None):
+def grid_golden_max(f_vec, lo: float, hi: float, extra=None):
     """Maximize a vectorized function on [lo, hi]; returns (argmax, value).
 
     ``f_vec`` must accept a 1-D ndarray and return values of the same shape.
-    The interval is scanned on ``num`` equispaced points together with any
+    The interval is scanned on ``GRID_POINTS`` equispaced points together with any
     ``extra`` candidates (clipped into the interval) in one call. The grid
     points on either side of the best point bracket it; each pass then scans
     the bracket on ``PASS_POINTS`` points in one call and keeps the
@@ -63,14 +66,14 @@ def grid_golden_max(f_vec, lo: float, hi: float, num: int = 10_001, extra=None):
         raise ValueError("empty search interval")
     if hi == lo:
         return lo, float(f_vec(np.array([lo]))[0])
-    grid = np.linspace(lo, hi, num)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     xs = grid if extra is None else np.concatenate(
         [grid, np.clip(np.asarray(list(extra), dtype=float), lo, hi)])
     vals = np.asarray(f_vec(xs), dtype=float)
     i = int(np.argmax(vals))
     x, best = xs[i], vals[i]
     a = grid[max(int(np.searchsorted(grid, x)) - 1, 0)]
-    b = grid[min(int(np.searchsorted(grid, x, "right")), num - 1)]
+    b = grid[min(int(np.searchsorted(grid, x, "right")), GRID_POINTS - 1)]
     for _ in range(_MAX_PASSES):
         xs = np.linspace(a, b, PASS_POINTS)
         vals = np.asarray(f_vec(xs), dtype=float)

@@ -33,6 +33,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _cell(value) -> str:
+    """One CSV cell of a report value: lists joined by ';', None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ";".join(map(_fmt, value))
+    return _fmt(value)
+
+
 def _json_number(x):
     return float(x) if x is not None and math.isfinite(x) else None
 
@@ -77,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="G0,G1,...", help="full moment list starting at the mass g0")
     p_feas.add_argument("--tol", type=float, default=mm.DEFAULT_TOL,
                         help="scale-relative numerical tolerance (default 1e-9)")
+    p_feas.set_defaults(func=cmd_feasibility)
 
     p_bound = sub.add_parser("bound", help="lower/upper bound report for a problem file")
     p_bound.add_argument("problem", help="path to a JSON problem file")
@@ -86,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_false", dest="as_json",
                      help="emit the report as a one-row CSV")
     p_bound.add_argument("--tol", type=float, default=mm.DEFAULT_TOL)
+    p_bound.set_defaults(func=cmd_bound)
 
     p_sweep = sub.add_parser("sweep",
                              help="CSV sweep over the second class mean, one row per grid point")
@@ -97,12 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="V1[,V2...]", help="second-class variances (default 1,5)")
     p_sweep.add_argument("--priors", type=_parse_number_list, default=[0.5, 0.5],
                          metavar="P1,P2", help="class priors (default 0.5,0.5)")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_wit = sub.add_parser("witness",
                            help="build and verify witness distributions for a problem file")
     p_wit.add_argument("problem", help="path to a JSON problem file")
     p_wit.add_argument("--out", default=None, help="write the witness JSON here (default stdout)")
     p_wit.add_argument("--tol", type=float, default=mm.DEFAULT_TOL)
+    p_wit.set_defaults(func=cmd_witness)
 
     return parser
 
@@ -176,20 +191,8 @@ def cmd_bound(args) -> int:
     if args.as_json:
         print(json.dumps(report))
     else:
-        header = ["lower", "lower_attained", "delta_star", "epsilons",
-                  "upper", "s_star", "gaussian", "trivial"]
-        row = [
-            _fmt(report["lower"]),
-            str(report["lower_attained"]).lower(),
-            _fmt(report["delta_star"]),
-            ";".join(_fmt(e) for e in report["epsilons"]),
-            _fmt(report["upper"]) if report["upper"] is not None else "",
-            _fmt(report["s_star"]) if report["s_star"] is not None else "",
-            _fmt(report["gaussian"]) if report["gaussian"] is not None else "",
-            _fmt(report["trivial"]),
-        ]
-        print(",".join(header))
-        print(",".join(row))
+        print(",".join(report))
+        print(",".join(map(_cell, report.values())))
     return 0
 
 
@@ -242,13 +245,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "feasibility":
-            return cmd_feasibility(args)
-        if args.command == "bound":
-            return cmd_bound(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_witness(args)
+        return args.func(args)
     except InfeasibleSequenceError as exc:
         print(json.dumps({"error": "INFEASIBLE", "detail": str(exc)}), file=sys.stderr)
         return 1

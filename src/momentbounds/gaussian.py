@@ -61,35 +61,26 @@ def gaussian_pair_bayes_error(g: GaussianPair) -> float:
 
     Solves p1 N(x; mu1, s1^2) = p2 N(x; mu2, s2^2) (linear for equal
     variances, quadratic otherwise), assigns each interval between crossings
-    to the class with the larger weighted density at a probe point (interval
-    midpoints; mean +/- 50 sd for the unbounded ends), and integrates the
-    winning densities with the normal CDF.
+    to the class with the larger weighted density, and integrates the winning
+    densities with the normal CDF. Class 1 wins where q = a x^2 + b x + c is
+    nonnegative: right of every crossing exactly when the leading nonzero
+    coefficient of q is positive (c >= 0 when a = b = 0), and q changes sign
+    at each crossing.
     """
     a, b, c = _log_ratio_coeffs(g)
     roots = _crossings(g)
-    sd_max = math.sqrt(max(g.sigma1sq, g.sigma2sq))
-    far_lo = min(g.mu1, g.mu2) - 50.0 * sd_max
-    far_hi = max(g.mu1, g.mu2) + 50.0 * sd_max
-    if roots:
-        far_lo = min(far_lo, roots[0] - 50.0 * sd_max)
-        far_hi = max(far_hi, roots[-1] + 50.0 * sd_max)
+    class1_wins = a > 0.0 if a else (b > 0.0 if b else c >= 0.0)
+    if len(roots) % 2:
+        class1_wins = not class1_wins  # the winner of the leftmost interval
     edges = [-math.inf] + roots + [math.inf]
     winning_mass = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
-        if math.isinf(left) and math.isinf(right):
-            probe = 0.5 * (g.mu1 + g.mu2)
-        elif math.isinf(left):
-            probe = far_lo
-        elif math.isinf(right):
-            probe = far_hi
-        else:
-            probe = 0.5 * (left + right)
-        q = (a * probe + b) * probe + c
-        if q >= 0.0:
+        if class1_wins:
             mu, sd, p = g.mu1, math.sqrt(g.sigma1sq), g.p1
         else:
             mu, sd, p = g.mu2, math.sqrt(g.sigma2sq), g.p2
         hi_cdf = 1.0 if math.isinf(right) else normal_cdf((right - mu) / sd)
         lo_cdf = 0.0 if math.isinf(left) else normal_cdf((left - mu) / sd)
         winning_mass += p * (hi_cdf - lo_cdf)
+        class1_wins = not class1_wins
     return min(max(1.0 - winning_mass, 0.0), 1.0)

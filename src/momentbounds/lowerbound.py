@@ -28,9 +28,6 @@ from . import moments as mm
 from ._search import _columns, _real_roots, grid_golden_max
 from .errors import InfeasibleSequenceError
 
-#: number of scan points for the shift search with three or more classes.
-GRID_POINTS = 10_001
-
 _PRIOR_SUM_TOL = 1e-12
 
 
@@ -83,9 +80,8 @@ class ClassSpec:
     def n_moments(self) -> int:
         return 1 if self.gamma2 is None else 2 + len(self.higher)
 
-    def moment_sequence(self, n_moments: int | None = None) -> list[float]:
-        """[1, gamma1, ...] truncated to ``n_moments`` raw moments."""
-        n = self.n_moments if n_moments is None else n_moments
+    def moment_sequence(self, n: int) -> list[float]:
+        """[1, gamma1, ...] truncated to ``n`` raw moments."""
         if n < 1 or n > self.n_moments:
             raise ValueError(f"class provides {self.n_moments} moments, asked for {n}")
         seq = [1.0, self.gamma1]
@@ -237,8 +233,7 @@ def optimal_shift_numeric(classes, masses=None) -> float:
         return float(cands[int(np.argmax(vals))])
     lo = min(means) - 10.0 * smax
     hi = max(means) + 10.0 * smax
-    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, masses), lo, hi,
-                           num=GRID_POINTS, extra=cands)
+    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, masses), lo, hi, extra=cands)
     return float(x)
 
 

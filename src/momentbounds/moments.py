@@ -51,15 +51,6 @@ class FeasibilityReason(str, Enum):
     BAD_ZEROTH = "BAD_ZEROTH"
 
 
-@dataclass(frozen=True, eq=False)
-class HankelSystem:
-    """Hankel matrix A(k) of a sequence, plus the extra column for odd n."""
-
-    k: int
-    matrix: np.ndarray
-    extra: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     feasible: bool
@@ -132,21 +123,6 @@ def _as_sequence(seq) -> np.ndarray:
     if not all(map(math.isfinite, arr.tolist())):  # faster than numpy on a few entries
         raise ValueError("moments must be finite")
     return arr
-
-
-def build_hankel(seq) -> HankelSystem:
-    """Arrange [g0..gn] into the Hankel system A(k), k = floor(n/2).
-
-    Entry (i, j) of the matrix is g_{i+j}; for odd n the column
-    (g_{k+1}, ..., g_{2k+1}) is attached as ``extra``.
-    """
-    g = _as_sequence(seq)
-    n = g.size - 1
-    k = n // 2
-    idx = np.arange(k + 1)
-    matrix = g[idx[:, None] + idx[None, :]]
-    extra = g[idx + k + 1] if n == 2 * k + 1 else None
-    return HankelSystem(k=k, matrix=matrix, extra=extra)
 
 
 class _Frame(NamedTuple):
@@ -265,8 +241,9 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     k = n // 2
     if g[0] <= 0.0:
         reason = FeasibilityReason.BAD_ZEROTH if g[0] < 0.0 else FeasibilityReason.RANK_MISMATCH
+        idx = np.arange(k + 1)
         return FeasibilityVerdict(False, reason,
-                                  int(np.linalg.matrix_rank(build_hankel(g).matrix)), k + 1)
+                                  int(np.linalg.matrix_rank(g[idx[:, None] + idx])), k + 1)
     if k == 1:  # scalars only: the variance, then a point mass's third moment
         g0, g1, g2 = g[:3].tolist()
         mean, h2 = g1 / g0, g2 / g0

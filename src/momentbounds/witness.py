@@ -18,7 +18,7 @@ from .lowerbound import ClassSpec, LowerBoundResult, lower_bound
 #: atoms closer than this (absolute) are treated as one support point.
 ATOM_MERGE_TOL = 1e-12
 
-#: default distance backed off from an unattained shared-mass supremum.
+#: distance backed off from an unattained shared-mass supremum.
 DEFAULT_BACKOFF = 1e-9
 
 #: verified witnesses never put less residual mass than this next to the
@@ -39,8 +39,7 @@ class WitnessReport:
     certified: bool
 
 
-def build_witness(classes, delta_star: float, epsilons,
-                  n_moments: int | None = None,
+def build_witness(classes, delta_star: float, epsilons, n_moments: int,
                   tol: float = mm.DEFAULT_TOL) -> list[mm.DiscreteMeasure]:
     """Construct one discrete measure per class matching its moments.
 
@@ -75,11 +74,11 @@ def build_witness(classes, delta_star: float, epsilons,
     return measures
 
 
-def discrete_bayes_error(measures, priors, merge_tol: float = ATOM_MERGE_TOL) -> float:
+def discrete_bayes_error(measures, priors) -> float:
     """Exact Bayes error of a family of discrete class conditionals.
 
     Evaluates 1 - sum over support points of max_i p(i) * mass_i, with
-    locations closer than ``merge_tol`` (absolute) treated as a single point.
+    locations closer than ``ATOM_MERGE_TOL`` (absolute) treated as a single point.
     """
     measures = list(measures)
     p = [float(q) for q in priors]
@@ -96,7 +95,7 @@ def discrete_bayes_error(measures, priors, merge_tol: float = ATOM_MERGE_TOL) ->
     while j < len(entries):
         anchor = entries[j][0]
         masses = [0.0] * len(measures)
-        while j < len(entries) and entries[j][0] - anchor <= merge_tol:
+        while j < len(entries) and entries[j][0] - anchor <= ATOM_MERGE_TOL:
             _, i, w = entries[j]
             masses[i] += w
             j += 1
@@ -104,28 +103,26 @@ def discrete_bayes_error(measures, priors, merge_tol: float = ATOM_MERGE_TOL) ->
     return max(1.0 - winning, 0.0)
 
 
-def _backed_off(c: ClassSpec, eps: float, n_moments: int, backoff: float,
-                tol: float) -> float:
+def _backed_off(c: ClassSpec, eps: float, n_moments: int, tol: float) -> float:
     if eps <= 0.0:
         return 0.0
     if c.gamma2 is not None and max(c.sigma2, 0.0) == 0.0 and eps == 1.0:
         return 1.0  # point mass sitting exactly on the shared location
     if n_moments == 1:
-        return max(eps - backoff, 0.0)
-    ceiling = 1.0 - max(backoff, CONSTRUCTION_MARGIN)
+        return max(eps - DEFAULT_BACKOFF, 0.0)
+    backoff = DEFAULT_BACKOFF
     if n_moments >= 4:
         # the mass freed must stand out of the rounding within which
         # recover_atoms takes a pivot before the last for zero, or it is
         # folded into the other atoms; the margin caps what a loose tol costs
         backoff = max(backoff, min(100.0 * tol, CONSTRUCTION_MARGIN))
-    return min(max(eps - backoff, 0.0), ceiling)
+    return min(max(eps - backoff, 0.0), 1.0 - CONSTRUCTION_MARGIN)
 
 
-def verify_witness(classes, n_moments: int, backoff: float = DEFAULT_BACKOFF,
-                   tol: float = mm.DEFAULT_TOL) -> WitnessReport:
+def verify_witness(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> WitnessReport:
     """Compute the bound, build its witness and check the certificate.
 
-    Epsilons are backed off by ``backoff`` (with four or more moments, by at
+    Epsilons are backed off by ``DEFAULT_BACKOFF`` (with four or more moments, by at
     least 100 ``tol`` up to CONSTRUCTION_MARGIN) before construction: at an
     unattained supremum the residual is no measure, and at an attained one
     its variance can round below zero.
@@ -135,7 +132,7 @@ def verify_witness(classes, n_moments: int, backoff: float = DEFAULT_BACKOFF,
     """
     classes = list(classes)
     bound = lower_bound(classes, n_moments, tol=tol)
-    eps = [_backed_off(c, e, n_moments, backoff, tol)
+    eps = [_backed_off(c, e, n_moments, tol)
            for c, e in zip(classes, bound.epsilons)]
     measures = build_witness(classes, bound.delta_star, eps,
                              n_moments=n_moments, tol=tol)

@@ -14,22 +14,20 @@ from scipy.integrate import quad
 from momentbounds import (
     ClassSpec,
     GaussianPair,
-    build_witness,
-    discrete_bayes_error,
-    first_moment_bound,
     gaussian_pair_bayes_error,
-    is_feasible,
     lower_bound,
-    max_shared_mass,
-    moments_of,
-    normal_cdf,
-    objective,
-    optimal_shift_numeric,
     upper_bound,
     verify_witness,
 )
-from momentbounds.gaussian import _crossings
-from momentbounds.lowerbound import _objective_vec
+from momentbounds.gaussian import _crossings, normal_cdf
+from momentbounds.lowerbound import (
+    _objective_vec,
+    first_moment_bound,
+    objective,
+    optimal_shift_numeric,
+)
+from momentbounds.moments import is_feasible, max_shared_mass, moments_of
+from momentbounds.witness import build_witness, discrete_bayes_error
 
 
 def make_class(prior, mean, var):

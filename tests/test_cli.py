@@ -15,9 +15,9 @@ from momentbounds import (
     cli,
     gaussian_pair_bayes_error,
     lower_bound,
-    normal_cdf,
     upper_bound,
 )
+from momentbounds.gaussian import normal_cdf
 from momentbounds.lowerbound import _two_moment_rows
 from momentbounds.upperbound import _upper_rows
 
@@ -107,6 +107,19 @@ def test_bound_csv_mode(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header.startswith("lower,")
     assert row.split(",")[0] == "0.25"
+    assert out == ("lower,lower_attained,delta_star,epsilons,upper,s_star,gaussian,trivial\n"
+                   "0.25,true,1,0.5;0.5,0.5,1,0.158655253931,0.5\n")
+    # three classes: no upper bound, threshold or Gaussian baseline
+    path = write_problem(tmp_path, [
+        {"prior": 0.2, "moments": [0, 1]},
+        {"prior": 0.5, "moments": [1, 3]},
+        {"prior": 0.3, "moments": [3, 9.5]},
+    ], name="three.json")
+    code, out, _ = run(["bound", path, "--csv"], capsys)
+    assert code == 0
+    assert out == ("lower,lower_attained,delta_star,epsilons,upper,s_star,gaussian,trivial\n"
+                   "0.24826523071,true,2.58147782067,"
+                   "0.130479694764;0.444338583515;0.740564305858,,,,0.666666666667\n")
 
 
 def test_bound_infeasible_class_exits_one(tmp_path, capsys):

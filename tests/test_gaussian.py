@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from momentbounds import (
-    ClassSpec,
-    GaussianPair,
-    gaussian_pair_bayes_error,
-    normal_cdf,
-    upper_bound,
-)
-from momentbounds.gaussian import _crossings
+from momentbounds import ClassSpec, GaussianPair, gaussian_pair_bayes_error, upper_bound
+from momentbounds.gaussian import _crossings, normal_cdf
 
 
 def quadrature_bayes_error(g, epsabs=1e-12):
@@ -46,6 +40,8 @@ def test_normal_cdf_values():
 def test_identical_classes_give_half():
     g = GaussianPair(0.0, 0.0, 1.0, 1.0)
     assert gaussian_pair_bayes_error(g) == pytest.approx(0.5, abs=1e-15)
+    # unequal priors: the larger one wins everywhere, and the error is 1 - 0.7
+    assert gaussian_pair_bayes_error(GaussianPair(0.0, 0.0, 1.0, 1.0, 0.3, 0.7)) == 1.0 - 0.7
 
 
 def test_equal_variance_spot_value():
@@ -60,6 +56,12 @@ def test_equal_means_different_variances():
     err = gaussian_pair_bayes_error(g)
     assert err == pytest.approx(quadrature_bayes_error(g), abs=1e-8)
     assert err == pytest.approx(0.315, abs=5e-4)
+    # no crossing: the wide class 2 wins everywhere (a < 0), and mirrored
+    # the wide class 1 does (a > 0)
+    for g in (GaussianPair(0.0, 0.0, 1.0, 5.0, 0.1, 0.9),
+              GaussianPair(0.0, 0.0, 5.0, 1.0, 0.9, 0.1)):
+        assert _crossings(g) == []
+        assert gaussian_pair_bayes_error(g) == 1.0 - 0.9
 
 
 def test_agrees_with_quadrature_randomized():

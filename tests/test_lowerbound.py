@@ -12,19 +12,18 @@ from momentbounds import (
     ClassSpec,
     DiscreteMeasure,
     InfeasibleSequenceError,
-    first_moment_bound,
-    is_feasible,
     lower_bound,
-    moments_of,
+)
+from momentbounds._search import grid_golden_max
+from momentbounds.lowerbound import (
+    _objective_vec,
+    first_moment_bound,
     objective,
     optimal_shift_numeric,
     optimal_shift_two_class,
     overlap_fraction,
-    shift_moments,
 )
-from momentbounds._search import grid_golden_max
-from momentbounds.lowerbound import _objective_vec
-from momentbounds.moments import shared_mass
+from momentbounds.moments import is_feasible, moments_of, shared_mass, shift_moments
 
 
 def make_class(prior, mean, var, rng=None):
@@ -306,7 +305,7 @@ def test_lower_bound_four_moments():
     weighted = [c.prior * e for c, e in zip(classes, res4.epsilons)]
     assert res4.value == pytest.approx(sum(weighted) - max(weighted), abs=1e-12)
     # the midpoint shift is feasible, so the optimized value must cover it
-    from momentbounds import max_shared_mass
+    from momentbounds.moments import max_shared_mass
     mid_seq = shift_moments([1.0] + std, 1.0)
     mid_seq[0] = 1.0
     eps_mid, _ = max_shared_mass(mid_seq)

@@ -8,15 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentbounds import (
-    ClassSpec,
-    DiscreteMeasure,
-    lower_bound,
-    moments_of,
-    trivial_upper_bound,
-    upper_bound,
-)
-from momentbounds.upperbound import _worst_error_vec
+from momentbounds import ClassSpec, DiscreteMeasure, lower_bound, upper_bound
+from momentbounds.moments import moments_of
+from momentbounds.upperbound import _worst_error_vec, trivial_upper_bound
 
 
 def make_class(prior, mean, var):

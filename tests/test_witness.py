@@ -11,14 +11,12 @@ from momentbounds import (
     ClassSpec,
     DiscreteMeasure,
     InfeasibleSequenceError,
-    build_witness,
     cli,
-    discrete_bayes_error,
     lower_bound,
-    moments_of,
-    shift_moments,
     verify_witness,
 )
+from momentbounds.moments import moments_of, shift_moments
+from momentbounds.witness import build_witness, discrete_bayes_error
 
 
 def make_class(prior, mean, var):
