@@ -10,6 +10,7 @@ _MAX_GOLDEN_ITER = 200
 
 #: points of the coarse scan.
 GRID_POINTS = 10_001
+_STEPS = np.arange(GRID_POINTS, dtype=float)
 
 #: points per refinement pass; each pass narrows the bracket (n - 1) / 2 times.
 PASS_POINTS = 33
@@ -21,30 +22,24 @@ _MAX_PASSES = 100
 
 # unused by the package; the bench wraps it by name until its probes move into the package
 def golden_max(f, lo: float, hi: float, width: float = 1e-10):
-    """Golden-section maximization of a scalar function on [lo, hi].
-
-    Shrinks the bracket until it is narrower than ``width`` and returns
-    (argmax, value). Assumes f is unimodal on the bracket; on a non-unimodal
-    stretch it still returns a local maximum inside [lo, hi].
-    """
+    """Golden-section maximization of a scalar function on [lo, hi]: shrinks
+    the bracket below ``width`` and returns (argmax, value), a local maximum
+    inside [lo, hi] where f is not unimodal."""
     a, b = float(lo), float(hi)
-    if b - a <= width:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_MAX_GOLDEN_ITER):
-        if b - a <= width:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    if b - a > width:
+        c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(_MAX_GOLDEN_ITER):
+            if b - a <= width:
+                break
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -64,20 +59,17 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra=None):
     lo, hi = float(lo), float(hi)
     if hi < lo:
         raise ValueError("empty search interval")
-    if hi == lo:
-        return lo, float(f_vec(np.array([lo]))[0])
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    xs = grid if extra is None else np.concatenate(
-        [grid, np.clip(np.asarray(list(extra), dtype=float), lo, hi)])
+    grid = _linspace(lo, hi, GRID_POINTS)
+    xs = grid if extra is None else np.concatenate([grid, [min(max(e, lo), hi) for e in extra]])
     vals = np.asarray(f_vec(xs), dtype=float)
-    i = int(np.argmax(vals))
+    i = int(vals.argmax())
     x, best = xs[i], vals[i]
     a = grid[max(int(np.searchsorted(grid, x)) - 1, 0)]
     b = grid[min(int(np.searchsorted(grid, x, "right")), GRID_POINTS - 1)]
     for _ in range(_MAX_PASSES):
-        xs = np.linspace(a, b, PASS_POINTS)
+        xs = _linspace(a, b, PASS_POINTS)
         vals = np.asarray(f_vec(xs), dtype=float)
-        j = int(np.argmax(vals))
+        j = int(vals.argmax())
         if vals[j] > best:
             x, best = xs[j], vals[j]
         a_next, b_next = xs[max(j - 1, 0)], xs[min(j + 1, PASS_POINTS - 1)]
@@ -85,6 +77,15 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra=None):
             break
         a, b = a_next, b_next
     return float(x), float(best)
+
+
+def _linspace(a: float, b: float, num: int) -> np.ndarray:
+    """``np.linspace(a, b, num <= GRID_POINTS)`` in its arithmetic, without its overhead."""
+    steps, step = _STEPS[:num], (b - a) / (num - 1)
+    xs = steps * step if step else steps / (num - 1) * (b - a)  # a step underflowing to 0
+    xs += a
+    xs[-1] = b
+    return xs
 
 
 def _columns(*values) -> list[np.ndarray]:

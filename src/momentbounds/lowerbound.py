@@ -2,22 +2,15 @@
 
 The bound forces every class-conditional distribution to carry a common Dirac
 mass at a shared location ``delta``. The largest mass class ``i`` can spare is
-``eps_i(delta)``, the value of its ``moments.shared_mass`` map: the overlap
-fraction ``sigma_i^2 / (sigma_i^2 + (delta - mean_i)^2)`` when two (or three)
-moments are known, the Christoffel function of its Hankel matrix when more
-moments constrain it. The certified bound is
-
-    sum_i p_i * eps_i - max_i p_i * eps_i
-
-maximized over the shared location: exactly for two classes, among the real
-roots of polynomials (companion-matrix eigenvalues; Edelman & Murakami,
-*Math. Comp.* 1995), by a grid scan refined in batched bracket passes for
-three or more.
+``eps_i(delta)``, row i of the classes' ``moments.shared_mass`` map. The
+certified bound, sum_i p_i eps_i - max_i p_i eps_i, is maximized over the
+shared location: exactly for two classes, among the real roots of polynomials
+(companion-matrix eigenvalues; Edelman & Murakami, *Math. Comp.* 1995), by a
+grid scan refined in batched bracket passes for three or more.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -63,8 +56,9 @@ class ClassSpec:
     def from_moments(cls, prior: float, moments) -> "ClassSpec":
         """Build from a prior and a list [gamma1, gamma2, ...]."""
         vals = [float(v) for v in moments]
-        if not vals:
-            raise ValueError("need at least the first moment")
+        if not vals or not all(map(math.isfinite, vals)):
+            raise ValueError("moments must be finite" if vals else
+                             "need at least the first moment")
         return cls(prior=float(prior), gamma1=vals[0],
                    gamma2=vals[1] if len(vals) > 1 else None,
                    higher=tuple(vals[2:]))
@@ -109,13 +103,20 @@ def overlap_fraction(c: ClassSpec, delta: float) -> float:
     return float(mm.shared_mass(c.moment_sequence(2))(delta))
 
 
-def _objective_vec(classes, deltas: np.ndarray, masses=None) -> np.ndarray:
-    """sum - max of p_i * eps_i(delta) at each delta; ``masses`` holds the
-    classes' shared-mass maps and defaults to their two-moment ones."""
-    if masses is None:
-        masses = [mm.shared_mass(c.moment_sequence(2)) for c in classes]
-    w = [m(deltas, c.prior) for c, m in zip(classes, masses)]
-    return sum(w) - functools.reduce(np.maximum, w)
+def _class_mass(classes, n_moments: int = 2, tol: float = mm.DEFAULT_TOL) -> mm.SharedMass:
+    """The classes' n-moment shared-mass maps as one map with a class axis."""
+    return mm.shared_mass([c.moment_sequence(n_moments) for c in classes], tol)
+
+
+def _objective_vec(classes, deltas: np.ndarray, mass=None) -> np.ndarray:
+    """sum - max over the class axis of p_i eps_i(delta) at each delta, eps
+    from ``mass``, the classes' shared-mass map (default: two-moment)."""
+    mass = _class_mass(classes) if mass is None else mass
+    priors = np.array([c.prior for c in classes]).reshape((-1,) + (1,) * (mass.mean.ndim - 1))
+    w = mass(deltas, priors)
+    vals = np.add.reduce(w, 0)  # adds the class rows in order
+    vals -= np.maximum.reduce(w, 0)
+    return vals
 
 
 def objective(classes, delta: float) -> float:
@@ -123,25 +124,20 @@ def objective(classes, delta: float) -> float:
     classes = list(classes)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    val = float(_objective_vec(classes, np.array([float(delta)]))[0])
-    return max(val, 0.0)
+    return max(float(_objective_vec(classes, np.array([float(delta)]))[0]), 0.0)
 
 
-def _inverse_mass_poly(m: mm.SharedMass, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """1/eps(delta) in powers of u = (delta - center) / scale, lowest first,
-    one row per row of the columns ``center`` and ``scale``.
-
-    In the class's own frame t = (delta - mean) / sd, 1/eps = v^T M v with
-    v = (1, t, .., t^k) and M = inv_chol^T inv_chol (the identity for k = 1),
-    whose coefficients are the anti-diagonal sums of M.
-    """
-    gram = np.eye(2) if m.inv_chol is None else m.inv_chol.T @ m.inv_chol
+def _inverse_mass_poly(mass: mm.SharedMass, i: int, center, scale) -> np.ndarray:
+    """1/eps_i(delta) in powers of u = (delta - center) / scale, lowest first:
+    in the frame t = (delta - mean) / sd, the anti-diagonal sums of M in
+    v^T M v, v = (1, t, .., t^k), M = inv_chol^T inv_chol (I for k = 1)."""
+    gram = np.eye(2) if mass.inv_chol is None else mass.inv_chol[i].T @ mass.inv_chol[i]
     k = gram.shape[0] - 1
     coef = np.zeros(2 * k + 1)
-    for i in range(k + 1):
-        coef[i:i + k + 1] += gram[i]
-    sd = np.sqrt(m.var)
-    t0, t1 = (center - m.mean) / sd, scale / sd
+    for j in range(k + 1):
+        coef[j:j + k + 1] += gram[j]
+    mean, sd = mass.mean[i].reshape(-1, 1), np.sqrt(mass.var[i]).reshape(-1, 1)
+    t0, t1 = (center - mean) / sd, scale / sd
     out = coef[None, -1:]
     for c in coef[-2::-1]:  # Horner's rule in t = t0 + t1 u, rounded as np.convolve
         low, high = out * t0, out * t1
@@ -151,21 +147,19 @@ def _inverse_mass_poly(m: mm.SharedMass, center: np.ndarray, scale: np.ndarray) 
     return out
 
 
-def _shift_two_class(c1: ClassSpec, c2: ClassSpec, masses) -> np.ndarray:
+def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
     """``optimal_shift_two_class`` for each row of two classes: a column."""
     classes = [c1, c2]
-    mean1, var1, mean2, var2 = _columns(masses[0].mean, masses[0].var,
-                                        masses[1].mean, masses[1].var)
-    atoms = [x for m in masses for x, _ in m.atoms]
-    cands = [mean1, mean2] + [np.full(mean1.shape, x) for x in atoms]
-    # a singular class shares mass only at its atoms (a point mass at its mean)
-    regular = (var1 > 0.0) & (var2 > 0.0) & (not atoms)
+    mean1, mean2, var1, var2, *atoms = _columns(*mass.mean, *mass.var,
+                                                *(x[i] for i in range(2) for x, _ in mass.atoms))
+    cands = [mean1, mean2] + atoms
+    regular = ~np.isfinite(atoms).any(0)  # a pinned class shares mass only at its atoms
     if regular.any():
         narrow = var1 <= var2
         center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            p1, p2 = (np.where(regular, _inverse_mass_poly(m, center, scale), 0.0)
-                      for m in masses)
+            p1, p2 = (np.where(regular, _inverse_mass_poly(mass, i, center, scale), 0.0)
+                      for i in range(2))
         cross, deg = c1.prior * p2 - c2.prior * p1, p1.shape[1] - 1
         roots = [_real_roots(cross)]
         if deg > 2:
@@ -174,7 +168,7 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, masses) -> np.ndarray:
             # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
             u, order = roots[0], np.arange(1, deg + 1)
             dp1, dp2 = (p[:, 1:] * order for p in (p1, p2))
-            w1, w2 = (c.prior * m(center + scale * u) for c, m in zip(classes, masses))
+            w1, w2 = (c.prior * m for c, m in zip(classes, mass(center + scale * u)))
             powers = np.vander(u.ravel(), deg + 1, increasing=True).reshape(*u.shape, deg + 1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 dlog1, dlog2 = ((powers[..., :-1] @ dp[..., None] / (powers @ p[..., None]))
@@ -186,54 +180,49 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, masses) -> np.ndarray:
         # one side of a crossing is steep: a neighbour can beat the rounded root
         cands += [d, np.nextafter(d, math.inf), np.nextafter(d, -math.inf)]
     cands = np.concatenate(cands, axis=1)
-    vals = _objective_vec(classes, cands, masses)
+    vals = _objective_vec(classes, cands, mass).reshape(cands.shape)
     vals[np.isnan(cands)] = -np.inf
     return cands[np.arange(len(cands)), vals.argmax(axis=1)][:, None]
 
 
-def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, masses=None) -> float:
+def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, mass=None) -> float:
     """Exact optimal shared location for two classes, any priors.
 
-    ``masses`` are the classes' shared-mass maps (default: two-moment ones).
+    ``mass`` is the classes' shared-mass map (default: the two-moment one).
     min(p1 eps1, p2 eps2) with 1/eps_i a polynomial P_i of degree 2k peaks
     where the weighted masses cross, a real root of p1 P2 - p2 P1, or where
-    one peaks on its own, a root of P_i'. The roots (companion-matrix
-    eigenvalues, real parts, in the frame of the narrower class, near which
-    the crossings sit) and their neighbours one ulp away join the means and
-    the atoms of singular classes as candidates; the best one is returned.
-    The same code answers many rows of two-moment classes at once.
+    one peaks on its own, a root of P_i'. The roots (real parts, in the frame
+    of the narrower class) and their neighbours one ulp away join the means
+    and the atoms of pinned classes as candidates; the best one is returned.
     """
-    if masses is None:
-        masses = [mm.shared_mass(c.moment_sequence(2)) for c in (c1, c2)]
-    return float(_shift_two_class(c1, c2, masses)[0, 0])
+    mass = _class_mass([c1, c2]) if mass is None else mass
+    return float(_shift_two_class(c1, c2, mass)[0, 0])
 
 
-def optimal_shift_numeric(classes, masses=None) -> float:
+def optimal_shift_numeric(classes, mass=None) -> float:
     """Shift maximizing the objective, located by grid scan plus refinement.
 
-    ``lower_bound`` uses it for G >= 3: exact enumeration there needs roots of
-    degree (2k - 1) + 4k(G - 2) and was about three times slower at G = 5.
-    ``masses`` are the classes' shared-mass maps (default: two-moment ones).
-    Scans 10,001 points on [min mean - 10 max sd, max mean + 10 max sd] and,
-    in the same call, the class means and the atoms of singular classes, then
-    refines the best point's bracket in batched passes until it no longer
-    shrinks in doubles (``_search.grid_golden_max``), so the result scales
-    with the problem's units. If every class is a point mass the candidates
-    are the only informative points."""
+    ``lower_bound`` uses it for G >= 3, where exact enumeration needs roots of
+    degree (2k - 1) + 4k(G - 2). ``mass`` is the classes' shared-mass map
+    (default: the two-moment one): each objective evaluation is one call of
+    it. Scans 10,001 points on [min mean - 10 max sd, max mean + 10 max sd]
+    with the means and the atoms of pinned classes, then refines the best
+    point's bracket until it no longer shrinks in doubles
+    (``_search.grid_golden_max``), so the result scales with the problem's
+    units. If every class is a point mass the candidates are all there is."""
     classes = list(classes)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    if masses is None:
-        masses = [mm.shared_mass(c.moment_sequence(2)) for c in classes]
+    mass = _class_mass(classes) if mass is None else mass
     means = [c.gamma1 for c in classes]
-    cands = means + [x for m in masses for x, _ in m.atoms]
+    atoms = np.ravel([x for x, _ in mass.atoms], order="F")  # class by class
+    cands = means + atoms[~np.isnan(atoms)].tolist()
     smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
     if smax == 0.0:
-        vals = _objective_vec(classes, np.array(cands), masses)
+        vals = _objective_vec(classes, np.array(cands), mass)
         return float(cands[int(np.argmax(vals))])
-    lo = min(means) - 10.0 * smax
-    hi = max(means) + 10.0 * smax
-    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, masses), lo, hi, extra=cands)
+    lo, hi = min(means) - 10.0 * smax, max(means) + 10.0 * smax
+    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, mass), lo, hi, extra=cands)
     return float(x)
 
 
@@ -287,14 +276,14 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         if not verdict.feasible:
             raise InfeasibleSequenceError(
                 f"class {i} moment sequence is infeasible ({verdict.reason.value})")
-    masses = [mm.shared_mass(c.moment_sequence(n_moments), tol) for c in classes]
+    mass = _class_mass(classes, n_moments, tol)
     if len(classes) == 2:
-        delta = optimal_shift_two_class(classes[0], classes[1], masses)
+        delta = optimal_shift_two_class(classes[0], classes[1], mass)
         method = BoundMethod.CLOSED_FORM_G2
     else:
-        delta = optimal_shift_numeric(classes, masses)
+        delta = optimal_shift_numeric(classes, mass)
         method = BoundMethod.NUMERIC
-    eps = tuple(float(m(delta)) for m in masses)
+    eps = tuple(mass(delta).ravel().tolist())
     weighted = [c.prior * e for c, e in zip(classes, eps)]
     value = max(sum(weighted) - max(weighted), 0.0)
     # with two moments the supremum fails exactly when some class must give
@@ -309,16 +298,15 @@ def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, tol: float = mm.DEFAULT_TOL) 
     at once, each row checked first as ``lower_bound`` checks it."""
     classes = [c1, c2]
     _validate_problem(classes, 2)
-    masses = []
-    for i, c in enumerate(classes):
-        mean, h2 = _columns(c.gamma1, c.gamma2)
-        if not (np.isfinite(mean).all() and np.isfinite(h2).all()):
-            raise ValueError("moments must be finite")
-        var, short = mm._two_moment_variance(mean, h2, tol)
-        if short.any():
-            raise InfeasibleSequenceError(
-                f"class {i} moment sequence is infeasible ({mm.FeasibilityReason.NOT_PSD.value})")
-        masses.append(mm.SharedMass(mean, np.maximum(var, 0.0)))
-    delta = _shift_two_class(c1, c2, masses)
-    w1, w2 = (c.prior * m(delta) for c, m in zip(classes, masses))  # as lower_bound sums them
+    mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1, 1))
+    if not np.isfinite([mean, h2]).all():
+        raise ValueError("moments must be finite")
+    var, short = mm._two_moment_variance(mean, h2, tol)
+    if short.any():
+        raise InfeasibleSequenceError(f"class {short.any(axis=(1, 2)).argmax()} moment sequence "
+                                      f"is infeasible ({mm.FeasibilityReason.NOT_PSD.value})")
+    point = ((np.where(var <= 0.0, mean, np.nan), np.ones(var.shape)),)  # at a point mass's mean
+    mass = mm.SharedMass(mean, np.maximum(var, 0.0), atoms=point if (var <= 0.0).any() else ())
+    delta = _shift_two_class(c1, c2, mass)
+    w1, w2 = (c.prior * m for c, m in zip(classes, mass(delta)))  # as lower_bound sums them
     return np.maximum(w1 + w2 - np.maximum(w1, w2), 0.0)

@@ -20,10 +20,10 @@ carries, so a verdict depends on the input's own rounding and not on where
 the input sits on the line.
 
 The largest Dirac mass a probability sequence allows at a location ``delta``
-is the Christoffel function ``1 / (v^T A(k)^-1 v)`` with
-``v = (1, delta, ..., delta^k)``; for odd ``n`` it is a supremum that is not
-attained (Akhiezer, *The Classical Moment Problem*, 1965; Karlin & Studden,
-*Tchebycheff Systems*, 1966). ``shared_mass`` returns it as a vectorized map.
+is the Christoffel function ``1 / (v^T A(k)^-1 v)``, ``v = (1, delta, ..,
+delta^k)``, a supremum not attained for odd ``n`` (Akhiezer, *The Classical
+Moment Problem*, 1965; Karlin & Studden, *Tchebycheff Systems*, 1966).
+``shared_mass`` returns it as a vectorized map.
 """
 
 from __future__ import annotations
@@ -244,19 +244,17 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
         idx = np.arange(k + 1)
         return FeasibilityVerdict(False, reason,
                                   int(np.linalg.matrix_rank(g[idx[:, None] + idx])), k + 1)
-    if k == 1:  # scalars only: the variance, then a point mass's third moment
-        g0, g1, g2 = g[:3].tolist()
-        mean, h2 = g1 / g0, g2 / g0
+    if k == 1:  # scalars only: the variance, then a point mass's third moment,
+        g0, g1 = g[:2].tolist()  # in units 2^e that keep 4 |mean|^3 finite
+        e = max(math.frexp(g1 / g0)[1] - 300, 0)
+        mean, h2, *h3 = [math.ldexp(v / g0, -j * e) for j, v in enumerate(g.tolist()) if j]
         var, short = _two_moment_variance(mean, h2, tol)
         if short:
             return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2)
         if var > 0.0:
             return FeasibilityVerdict(True, FeasibilityReason.OK, 2, 2)
-        point = n == 2
-        if n == 3:
-            h3 = float(g[3]) / g0
-            point = abs(h3 - 3.0 * mean * h2 + 2.0 * mean ** 3) <= tol * (
-                abs(h3) + 3.0 * abs(mean * h2) + 4.0 * abs(mean) ** 3)
+        point = n == 2 or abs(h3[0] - 3.0 * mean * h2 + 2.0 * mean ** 3) <= tol * (
+            abs(h3[0]) + 3.0 * abs(mean * h2) + 4.0 * abs(mean) ** 3)
         return FeasibilityVerdict(point, FeasibilityReason.OK if point
                                   else FeasibilityReason.RANGE_FAILURE, 1, 1)
     fr = _standardize(g, tol)
@@ -271,82 +269,95 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
 
 @dataclass(frozen=True, eq=False)
 class SharedMass:
-    """The map delta -> largest Dirac mass a probability sequence allows at delta.
-
-    With k = 1 (two or three moments) the value is
-    sigma^2 / (sigma^2 + (delta - mean)^2); ``mean`` and ``var`` may be
-    (rows, 1) columns of many classes, and the map broadcasts over them.
-    For k >= 2 it is the Christoffel function 1 / |L^-1 v|^2, where L is the
-    Cholesky factor of A(k) in the frame t = (delta - mean) / sigma and
-    v = (1, t, ..., t^k); ``inv_chol`` holds L^-1. A zero ``var`` is a point
-    mass: the mass is 1 at the mean and 0 elsewhere. Any other sequence
-    whose A(k) is singular has a single representing measure with at most k
-    atoms: ``atoms`` lists them, and the mass is an atom's weight at that
-    atom and 0 elsewhere.
+    """delta -> largest Dirac mass each of many probability sequences allows
+    at delta. ``mean`` and ``var`` are columns with a leading class axis:
+    (G, 1) for G classes, (G, rows, 1) for many problems, 0-d for one class.
+    With k = 1 the mass is sigma^2 / (sigma^2 + (delta - mean)^2), in units
+    of sigma where the squared gap overflows; for k >= 2, 1 / |L^-1 v|^2 with
+    ``inv_chol`` the L^-1 of each class's A(k) in the frame
+    t = (delta - mean) / sigma, v = (1, t, .., t^k). A pinned class (zero
+    variance or singular A(k)) has one measure, of at most k atoms: its mass
+    is an atom's weight there, 0 elsewhere. ``atoms`` holds (location,
+    weight) columns, the j-th atom of every class, NaN where a class has none.
     """
 
-    mean: float
-    var: float
+    mean: np.ndarray
+    var: np.ndarray
     inv_chol: np.ndarray | None = None
-    atoms: tuple[tuple[float, float], ...] = ()
+    atoms: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
-    def __call__(self, deltas, scale: float = 1.0) -> np.ndarray:
-        """``scale`` times the mass at each delta, ``deltas`` broadcast
-        against ``mean`` and ``var``."""
+    def __call__(self, deltas, scale=1.0) -> np.ndarray:
+        """``scale`` times each class's mass at each delta, in one buffer."""
         d = np.asarray(deltas, dtype=float)
-        if self.atoms:
-            out = np.zeros(d.shape)
-            for x, w in self.atoms:
-                out = np.where(d == x, scale * w, out)
-            return out
+        pinned = ~np.isnan(self.atoms[0][0]) if self.atoms else False  # rows with atoms
         if self.inv_chol is None:
-            # np.square: a numpy scalar's ** 2 can round off an array's x * x
-            gap = d - self.mean
-            if np.ndim(self.var) == 0 and self.var > 0.0:  # one class: skip the mask
-                return scale * self.var / (self.var + np.square(gap))
-            point = np.where(gap == 0.0, scale, 0.0)  # the mass where var = 0
-            return np.divide(scale * self.var, self.var + np.square(gap), out=point,
-                             where=self.var > 0.0)
-        t = (d - self.mean) / math.sqrt(self.var)
-        w = np.vander(t.ravel(), self.inv_chol.shape[0], increasing=True) @ self.inv_chol.T
-        return (scale / np.einsum("ij,ij->i", w, w)).reshape(d.shape)
+            try:
+                with np.errstate(over="raise"):
+                    out = np.subtract(d, self.mean)[...]  # [...]: an array, also 0-d
+                    np.square(out, out=out)  # a numpy scalar's ** 2 can round off x * x
+                    out += self.var
+                np.divide(scale * self.var, out, out=out, where=~pinned if self.atoms else True)
+            except FloatingPointError:
+                with np.errstate(all="ignore"):
+                    gap = d - self.mean
+                    t2 = np.square(gap / np.sqrt(self.var))
+                    out = np.where(np.isinf(self.var + np.square(gap)), scale / (1.0 + t2),
+                                   scale * self.var / (self.var + np.square(gap)))
+        else:
+            out = np.where(pinned, 0.0, d - self.mean)  # pinned rows are replaced below
+            out /= np.sqrt(np.where(pinned, 1.0, self.var))
+            v = np.vander(out.ravel(), self.inv_chol.shape[-1], increasing=True)
+            w = v.reshape(out.shape + v.shape[-1:]) @ np.swapaxes(self.inv_chol, -1, -2)
+            np.divide(scale, np.einsum("...j,...j->...", w, w), out=out)
+        if self.atoms:
+            np.copyto(out, 0.0, where=pinned)
+            for x, w in self.atoms:
+                np.copyto(out, scale * w, where=d == x)
+        return out
 
 
 def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
-    """Largest Dirac mass at each location compatible with a probability sequence.
+    """Largest Dirac mass at each location compatible with probability sequences.
 
-    ``seq`` is [1, g1, ..., gn] with n >= 2; only g0 .. g2k enter, k = n // 2.
-    The sequence is standardized by its own mean and standard deviation once,
-    here, so each evaluation of the returned map costs one small triangular
-    product. The frame is judged against the doubles' own rounding (machine
-    epsilon), so the map stays put when the class moves along the line while
-    its raw moments pin it, and its last pivot is lowered by that rounding,
-    so the map errs low where they barely do. A(k) also counts as singular
-    when that pivot, the moment of pi_k^2, is at most ``tol`` times the
-    absolute moment of pi_k^2 in the standardized frame, which does not grow
-    with the offset. A singular class shares mass only at its Gauss atoms,
-    at most k; a point mass (zero variance) only at its mean.
+    ``seq`` is one sequence [1, g1, ..., gn], n >= 2, or an array of them
+    whose leading axes the map keeps; only g0 .. g2k enter, k = n // 2. Each
+    is standardized once, here, in a frame judged against the doubles' own
+    rounding (so the map stays put when the class moves along the line), and
+    its last pivot is lowered by that rounding. A(k) is also singular when the
+    pivot, the moment of pi_k^2, is at most ``tol`` times its absolute moment.
     """
-    g = _as_sequence(seq)
+    arr = np.asarray(seq, dtype=float)
+    shape = arr.shape[:-1] + (1,) if arr.ndim > 1 else ()
+    mean, var, inv, atoms = zip(*(_sequence_mass(_as_sequence(g), tol) for g in
+                                  (arr.reshape(-1, arr.shape[-1]) if shape else [arr])))
+    pad = [a + [(math.nan, math.nan)] * (max(map(len, atoms)) - len(a)) for a in atoms]
+    return SharedMass(np.array(mean).reshape(shape), np.array(var).reshape(shape),
+                      None if inv[0] is None else np.array(inv).reshape(shape[:-1] + inv[0].shape),
+                      tuple(tuple(np.array(col).reshape(shape) for col in zip(*row))
+                            for row in zip(*pad)))
+
+
+def _sequence_mass(g: np.ndarray, tol: float):
+    """mean, var, L^-1 (None for k = 1, I if pinned) and atoms of one sequence."""
     k = (g.size - 1) // 2
     if k < 1:
         raise ValueError("need at least the first and second moments")
     mean = float(g[1])
     var = max(float(g[2]) - mean * mean, 0.0)
-    if k == 1 or var == 0.0:
-        return SharedMass(mean, var)
+    eye = None if k == 1 else np.eye(k + 1)
+    if k == 1 or var == 0.0:  # a point mass shares mass only at its mean
+        return mean, var, eye, [(mean, 1.0)] if var == 0.0 else []
     fr = _standardize(g[:2 * k + 1], float(np.finfo(float).eps))
     q = fr.inv_chol[-1]  # pi_k / sqrt(pivot) when A(k) is positive definite
     if fr.sd and fr.pivot > fr.band and tol * np.abs(np.convolve(q, q)) @ np.abs(fr.t) < 1.0:
         inv = fr.inv_chol.copy()
         inv[-1] *= math.sqrt(fr.pivot / (fr.pivot - fr.band))
-        return SharedMass(mean, var, inv_chol=inv)
+        return mean, var, inv, []
     # singular, or infeasible beyond the rounding where the verdict's tol
-    # forgives it: share mass at the Gauss atoms only
+    # forgives it: share mass at the Gauss atoms only, at most k
     r = min(fr.inv_chol.shape[0], k)
     x, w = _gauss(fr.t, fr.inv_chol[:r, :r])
-    return SharedMass(mean, var, atoms=tuple(
-        (fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)))
+    return mean, var, eye, [(fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)]
 
 
 def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:

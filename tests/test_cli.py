@@ -132,6 +132,39 @@ def test_bound_infeasible_class_exits_one(tmp_path, capsys):
     assert "INFEASIBLE" in err
 
 
+@pytest.mark.parametrize("argv", [["feasibility", "--moments", "1,1e200,1e300"],
+                                  ["feasibility", "--moments", "1,1e200,1e300,0"],
+                                  ["bound", [1e200, 1e300]]], ids=["n2", "n3", "bound"])
+def test_overflowing_square_of_the_mean_is_not_psd(argv, tmp_path, capsys):
+    # g2 < g1^2 where g1^2 (and g1^3) overflow: the verdict stays NOT_PSD
+    if argv[0] == "bound":
+        argv = ["bound", write_problem(tmp_path, [{"prior": 0.5, "moments": argv[1]},
+                                                  {"prior": 0.5, "moments": [0, 1]}])]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    if argv[0] == "bound":
+        assert out == ""
+        assert json.loads(err) == {"error": "INFEASIBLE",
+                                   "detail": "class 0 moment sequence is infeasible (NOT_PSD)"}
+    else:
+        assert json.loads(out) == {"feasible": False, "reason": "NOT_PSD",
+                                   "rank_A": 2, "rank_gamma": 2}
+
+
+@pytest.mark.parametrize("command", ["bound", "witness"])
+@pytest.mark.parametrize("entry,message", [
+    ({"prior": 0.5, "moments": [math.nan]}, "moments must be finite"),
+    ({"prior": 0.5, "moments": [0.0, math.inf]}, "moments must be finite"),
+    ({"prior": 0.5, "moments": [-math.inf, 1.0]}, "moments must be finite"),
+    ({"prior": math.nan, "moments": [0.0]}, "prior must lie in (0, 1), got nan"),
+    ({"prior": math.inf, "moments": [0.0]}, "prior must lie in (0, 1), got inf")])
+def test_non_finite_problem_file_exits_two(command, entry, message, tmp_path, capsys):
+    # JSON admits NaN and Infinity; a problem file with them is refused
+    path = write_problem(tmp_path, [entry, {"prior": 0.5, "moments": [1.0, 2.0]}])
+    code, out, err = run([command, path], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bound_missing_file_exits_two(capsys):
     code, _, err = run(["bound", "/nonexistent/problem.json"], capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 """Tests for the shared-mass lower bound and its shift optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from momentbounds import (
     InfeasibleSequenceError,
     lower_bound,
 )
-from momentbounds._search import grid_golden_max
+from momentbounds._search import GRID_POINTS, PASS_POINTS, _linspace, grid_golden_max
 from momentbounds.lowerbound import (
     _objective_vec,
     first_moment_bound,
@@ -37,13 +38,13 @@ def random_two_class(rng, equal_priors=True):
     return [make_class(p1, m1, v1), make_class(1.0 - p1, m2, v2)]
 
 
-def grid_sup_objective(classes, num=200_001, margin=10.0, masses=None):
-    """Dense-grid oracle for the supremum of the shift objective; ``masses``
-    are the classes' shared-mass maps (default: two-moment ones)."""
+def grid_sup_objective(classes, num=200_001, margin=10.0, mass=None):
+    """Dense-grid oracle for the supremum of the shift objective; ``mass``
+    is the classes' shared-mass map (default: the two-moment one)."""
     means = [c.gamma1 for c in classes]
     smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
     xs = np.linspace(min(means) - margin * smax, max(means) + margin * smax, num)
-    vals = _objective_vec(classes, xs, masses)
+    vals = _objective_vec(classes, xs, mass)
     i = int(np.argmax(vals))
     return float(xs[i]), float(vals[i])
 
@@ -155,10 +156,10 @@ def test_numeric_beats_dense_grid_three_class():
             classes = [atomic_class(p, list(zip(1.5 * i + rng.uniform(-2.0, 2.0, 5),
                                                 rng.uniform(0.1, 1.0, 5))))
                        for i, p in enumerate(priors)]
-            masses = [shared_mass(c.moment_sequence(n)) for c in classes]
-            d = optimal_shift_numeric(classes, masses)
-            _, oracle = grid_sup_objective(classes, num=100_001, masses=masses)
-            value = float(_objective_vec(classes, np.array([d]), masses)[0])
+            mass = shared_mass([c.moment_sequence(n) for c in classes])
+            d = optimal_shift_numeric(classes, mass)
+            _, oracle = grid_sup_objective(classes, num=100_001, mass=mass)
+            value = float(_objective_vec(classes, np.array([d]), mass)[0])
             assert value >= oracle - 1e-12, (G, n, value, oracle)
 
 
@@ -363,14 +364,14 @@ def test_two_class_shift_is_never_beaten_by_a_grid(atoms1, atoms2, p1, n):
     # dense grid nor the grid-plus-golden-section search may find more
     classes = [atomic_class(p1, atoms1), atomic_class(1.0 - p1, atoms2)]
     assert all(is_feasible(c.moment_sequence(n)).feasible for c in classes)
-    masses = [shared_mass(c.moment_sequence(n)) for c in classes]
+    mass = shared_mass([c.moment_sequence(n) for c in classes])
     res = lower_bound(classes, n)
     assert res.method is BoundMethod.CLOSED_FORM_G2
-    exact = float(_objective_vec(classes, np.array([res.delta_star]), masses)[0])
-    _, oracle = grid_sup_objective(classes, masses=masses)
-    numeric = optimal_shift_numeric(classes, masses)
+    exact = float(_objective_vec(classes, np.array([res.delta_star]), mass)[0])
+    _, oracle = grid_sup_objective(classes, mass=mass)
+    numeric = optimal_shift_numeric(classes, mass)
     assert exact >= oracle - 1e-12
-    assert exact >= float(_objective_vec(classes, np.array([numeric]), masses)[0]) - 1e-12
+    assert exact >= float(_objective_vec(classes, np.array([numeric]), mass)[0]) - 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -415,3 +416,33 @@ def test_grid_search_refines_a_kink_to_double_resolution(scale):
         return np.where(x == spike, 1.0, kink(x))
 
     assert grid_golden_max(spiked, lo, hi, extra=[spike]) == (spike, 1.0)
+
+
+@pytest.mark.parametrize("num", [PASS_POINTS, GRID_POINTS])
+def test_search_points_are_linspace_bit_for_bit(num):
+    rng = np.random.default_rng(40 + num)
+    brackets = [np.sort(rng.uniform(-1e3, 1e3, 2)) for _ in range(100)]
+    brackets += [np.sort(-(10.0 ** rng.uniform(-300, 300, 2))) for _ in range(100)]  # negative
+    brackets += [(a, np.nextafter(a, math.inf))  # one ulp wide
+                 for a in rng.normal(size=100) * 10.0 ** rng.integers(-300, 300, 100)]
+    tiny = math.ulp(0.0)
+    brackets += [(i * tiny, (i + w) * tiny)  # of subnormal width; below 32 ulps the step is 0
+                 for i, w in zip(rng.integers(-10**6, 10**6, 100), rng.integers(1, 10**4, 100))]
+    for a, b in brackets:
+        assert _linspace(a, b, num).tobytes() == np.linspace(a, b, num).tobytes(), (a, b)
+
+
+def test_two_moment_map_takes_the_class_units_where_the_gap_squared_overflows():
+    # means +-s and 0: at s = 1e154 the scan reaches gaps beyond 1.3e154, whose
+    # squares overflow, and the bound must not lose the class at 0
+    values = []
+    for s in (1.0, 1e150, 1e154):
+        classes = [ClassSpec(0.3, s, 1.01 * s * s), ClassSpec(0.3, -s, 1.01 * s * s),
+                   ClassSpec(0.4, 0.0, 0.01 * s * s)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lower_bound(classes, 2)
+        assert min(res.epsilons) > 0.0
+        values.append(res.value)
+    assert values[0] == pytest.approx(0.0146537, abs=1e-7)
+    assert all(abs(v - values[0]) <= 1e-12 * values[0] for v in values), values

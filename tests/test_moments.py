@@ -227,6 +227,45 @@ def test_shared_mass_singular_class_is_its_atoms():
         np.testing.assert_allclose(mass(atoms + [0.0, 0.5]), [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
 
+def per_class_mass(seq, deltas, scale):
+    """One class's shared mass at each delta, from its own frame: the atom
+    rule for a pinned class, else the closed form or 1 / |L^-1 v|^2."""
+    one = shared_mass(seq)
+    if one.atoms:
+        out = np.zeros(deltas.shape)
+        for x, w in one.atoms:
+            out = np.where(deltas == x, scale * w, out)
+        return out
+    if one.inv_chol is None:
+        return scale * one.var / (one.var + np.square(deltas - one.mean))
+    t = (deltas - one.mean) / math.sqrt(one.var)
+    w = np.vander(t, one.inv_chol.shape[0], increasing=True) @ one.inv_chol.T
+    return scale / np.einsum("ij,ij->i", w, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("G", [2, 3, 5, 8])
+def test_class_axis_map_is_the_per_class_maps_bit_for_bit(G, n):
+    rng = np.random.default_rng(100 * G + n)
+    measures = [random_measure(rng, max_atoms=6, min_atoms=n // 2 + 1) for _ in range(G - 2)]
+    measures.append(DiscreteMeasure(((rng.uniform(-4.0, 4.0), 1.0),)))  # a point mass
+    # singular for n >= 4 (k atoms pin A(k)), else one more regular class
+    measures.append(random_measure(rng, max_atoms=max(n // 2, 2), min_atoms=max(n // 2, 2)))
+    seqs = [moments_of(m, n) for m in measures]
+    mass = shared_mass(seqs)
+    pinned = ~np.isnan(mass.atoms[0][0])
+    assert pinned.shape == (G, 1) and pinned[-2, 0] and pinned[-1, 0] == (n >= 4)
+    atoms = np.ravel([x for x, _ in mass.atoms])  # where the atom rule hits
+    deltas = np.concatenate([rng.uniform(-12.0, 12.0, 2000), atoms[~np.isnan(atoms)],
+                             [s[1] for s in seqs]])
+    priors = rng.dirichlet(np.ones(G))
+    got = mass(deltas, priors[:, None])
+    assert got.shape == (G, deltas.size)
+    for i, (seq, p) in enumerate(zip(seqs, priors)):
+        assert np.array_equal(got[i], per_class_mass(seq, deltas, p)), i
+        assert np.array_equal(mass(deltas)[i], per_class_mass(seq, deltas, 1.0)), i
+
+
 def test_max_shared_mass_requires_feasible_input():
     with pytest.raises(InfeasibleSequenceError):
         max_shared_mass([1.0, 2.0, 1.0])
