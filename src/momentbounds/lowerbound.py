@@ -94,37 +94,14 @@ class LowerBoundResult:
     method: BoundMethod
 
 
-def overlap_fraction(c: ClassSpec, delta: float) -> float:
-    """Shared mass available at ``delta`` from two moments.
-
-    Equals sigma^2 / (sigma^2 + (delta - gamma1)^2); a zero-variance class
-    contributes 1 exactly at its mean and 0 elsewhere.
-    """
-    return float(mm.shared_mass(c.moment_sequence(2))(delta))
-
-
-def _class_mass(classes, n_moments: int = 2, tol: float = mm.DEFAULT_TOL) -> mm.SharedMass:
-    """The classes' n-moment shared-mass maps as one map with a class axis."""
-    return mm.shared_mass([c.moment_sequence(n_moments) for c in classes], tol)
-
-
-def _objective_vec(classes, deltas: np.ndarray, mass=None) -> np.ndarray:
+def _objective_vec(classes, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
     """sum - max over the class axis of p_i eps_i(delta) at each delta, eps
-    from ``mass``, the classes' shared-mass map (default: two-moment)."""
-    mass = _class_mass(classes) if mass is None else mass
+    from ``mass``, the classes' shared-mass map."""
     priors = np.array([c.prior for c in classes]).reshape((-1,) + (1,) * (mass.mean.ndim - 1))
     w = mass(deltas, priors)
     vals = np.add.reduce(w, 0)  # adds the class rows in order
     vals -= np.maximum.reduce(w, 0)
     return vals
-
-
-def objective(classes, delta: float) -> float:
-    """sum_i p_i f_i(delta) - max_i p_i f_i(delta) for two-moment classes."""
-    classes = list(classes)
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    return max(float(_objective_vec(classes, np.array([float(delta)]))[0]), 0.0)
 
 
 def _inverse_mass_poly(mass: mm.SharedMass, i: int, center, scale) -> np.ndarray:
@@ -185,35 +162,33 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.nd
     return cands[np.arange(len(cands)), vals.argmax(axis=1)][:, None]
 
 
-def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, mass=None) -> float:
+def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> float:
     """Exact optimal shared location for two classes, any priors.
 
-    ``mass`` is the classes' shared-mass map (default: the two-moment one).
+    ``mass`` is the classes' shared-mass map.
     min(p1 eps1, p2 eps2) with 1/eps_i a polynomial P_i of degree 2k peaks
     where the weighted masses cross, a real root of p1 P2 - p2 P1, or where
     one peaks on its own, a root of P_i'. The roots (real parts, in the frame
     of the narrower class) and their neighbours one ulp away join the means
     and the atoms of pinned classes as candidates; the best one is returned.
     """
-    mass = _class_mass([c1, c2]) if mass is None else mass
     return float(_shift_two_class(c1, c2, mass)[0, 0])
 
 
-def optimal_shift_numeric(classes, mass=None) -> float:
+def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     """Shift maximizing the objective, located by grid scan plus refinement.
 
     ``lower_bound`` uses it for G >= 3, where exact enumeration needs roots of
-    degree (2k - 1) + 4k(G - 2). ``mass`` is the classes' shared-mass map
-    (default: the two-moment one): each objective evaluation is one call of
-    it. Scans 10,001 points on [min mean - 10 max sd, max mean + 10 max sd]
-    with the means and the atoms of pinned classes, then refines the best
-    point's bracket until it no longer shrinks in doubles
-    (``_search.grid_golden_max``), so the result scales with the problem's
-    units. If every class is a point mass the candidates are all there is."""
+    degree (2k - 1) + 4k(G - 2). ``mass`` is the classes' shared-mass map:
+    each objective evaluation is one call of it. Scans 10,001 points on
+    [min mean - 10 max sd, max mean + 10 max sd] with the means and the atoms
+    of pinned classes, then refines the best point's bracket until it no
+    longer shrinks in doubles (``_search.grid_golden_max``), so the result
+    scales with the problem's units. If every class is a point mass the
+    candidates are all there is."""
     classes = list(classes)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    mass = _class_mass(classes) if mass is None else mass
     means = [c.gamma1 for c in classes]
     atoms = np.ravel([x for x, _ in mass.atoms], order="F")  # class by class
     cands = means + atoms[~np.isnan(atoms)].tolist()
@@ -276,7 +251,7 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         if not verdict.feasible:
             raise InfeasibleSequenceError(
                 f"class {i} moment sequence is infeasible ({verdict.reason.value})")
-    mass = _class_mass(classes, n_moments, tol)
+    mass = mm.shared_mass([c.moment_sequence(n_moments) for c in classes], tol)
     if len(classes) == 2:
         delta = optimal_shift_two_class(classes[0], classes[1], mass)
         method = BoundMethod.CLOSED_FORM_G2
@@ -298,15 +273,13 @@ def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, tol: float = mm.DEFAULT_TOL) 
     at once, each row checked first as ``lower_bound`` checks it."""
     classes = [c1, c2]
     _validate_problem(classes, 2)
-    mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1, 1))
-    if not np.isfinite([mean, h2]).all():
-        raise ValueError("moments must be finite")
-    var, short = mm._two_moment_variance(mean, h2, tol)
+    mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
+    mass = mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1), tol)
+    e = np.maximum(np.frexp(mean)[1] - 300, 0)  # is_feasible's units at g0 = 1
+    short = mm._two_moment_variance(np.ldexp(mean, -e), np.ldexp(h2, -2 * e), tol)[1]
     if short.any():
-        raise InfeasibleSequenceError(f"class {short.any(axis=(1, 2)).argmax()} moment sequence "
+        raise InfeasibleSequenceError(f"class {short.any(axis=1).argmax()} moment sequence "
                                       f"is infeasible ({mm.FeasibilityReason.NOT_PSD.value})")
-    point = ((np.where(var <= 0.0, mean, np.nan), np.ones(var.shape)),)  # at a point mass's mean
-    mass = mm.SharedMass(mean, np.maximum(var, 0.0), atoms=point if (var <= 0.0).any() else ())
     delta = _shift_two_class(c1, c2, mass)
     w1, w2 = (c.prior * m for c, m in zip(classes, mass(delta)))  # as lower_bound sums them
     return np.maximum(w1 + w2 - np.maximum(w1, w2), 0.0)

@@ -244,10 +244,11 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
         idx = np.arange(k + 1)
         return FeasibilityVerdict(False, reason,
                                   int(np.linalg.matrix_rank(g[idx[:, None] + idx])), k + 1)
-    if k == 1:  # scalars only: the variance, then a point mass's third moment,
-        g0, g1 = g[:2].tolist()  # in units 2^e that keep 4 |mean|^3 finite
-        e = max(math.frexp(g1 / g0)[1] - 300, 0)
-        mean, h2, *h3 = [math.ldexp(v / g0, -j * e) for j, v in enumerate(g.tolist()) if j]
+    if k == 1:  # scalars only: the variance, then a point mass's third moment, in
+        # units 2^e that keep 4 |mean|^3 finite, e from g1's and g0's exponents
+        g0, g1 = g[:2].tolist()  # (g1 / g0 itself can overflow)
+        e = max(math.frexp(g1)[1] - math.frexp(g0)[1] - 299, 0)
+        mean, h2, *h3 = [math.ldexp(v, -j * e) / g0 for j, v in enumerate(g.tolist()) if j]
         var, short = _two_moment_variance(mean, h2, tol)
         if short:
             return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2)
@@ -320,44 +321,50 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
     """Largest Dirac mass at each location compatible with probability sequences.
 
     ``seq`` is one sequence [1, g1, ..., gn], n >= 2, or an array of them
-    whose leading axes the map keeps; only g0 .. g2k enter, k = n // 2. Each
-    is standardized once, here, in a frame judged against the doubles' own
-    rounding (so the map stays put when the class moves along the line), and
-    its last pivot is lowered by that rounding. A(k) is also singular when the
-    pivot, the moment of pi_k^2, is at most ``tol`` times its absolute moment.
+    whose leading axes the map keeps; only g0 .. g2k enter, k = n // 2. The
+    k = 1 maps of all of them are built at once. For k >= 2 each is
+    standardized once, in a frame judged against the doubles' own rounding
+    (so the map stays put when the class moves along the line), and its last
+    pivot is lowered by that rounding. A(k) is also singular when the pivot,
+    the moment of pi_k^2, is at most ``tol`` times its absolute moment.
     """
     arr = np.asarray(seq, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("moments must be finite")
+    if arr.ndim == 0 or arr.shape[-1] < 3:
+        raise ValueError("need at least the first and second moments")
     shape = arr.shape[:-1] + (1,) if arr.ndim > 1 else ()
-    mean, var, inv, atoms = zip(*(_sequence_mass(_as_sequence(g), tol) for g in
-                                  (arr.reshape(-1, arr.shape[-1]) if shape else [arr])))
+    mean = arr[..., 1].reshape(shape).copy()
+    with np.errstate(over="ignore"):  # g1^2 beyond g2: a point mass, as in floats
+        var = np.maximum(arr[..., 2].reshape(shape) - mean * mean, 0.0)
+    point = var == 0.0  # a point mass shares mass only at its mean
+    if arr.shape[-1] < 5:  # k = 1
+        atoms = (np.where(point, mean, np.nan), np.where(point, 1.0, np.nan))
+        return SharedMass(mean, var, atoms=(atoms,) if point.any() else ())
+    inv, atoms = zip(*(_sequence_mass(g, p, tol) for g, p in
+                       zip(arr.reshape(-1, arr.shape[-1]), point.ravel().tolist())))
     pad = [a + [(math.nan, math.nan)] * (max(map(len, atoms)) - len(a)) for a in atoms]
-    return SharedMass(np.array(mean).reshape(shape), np.array(var).reshape(shape),
-                      None if inv[0] is None else np.array(inv).reshape(shape[:-1] + inv[0].shape),
+    return SharedMass(mean, var, np.array(inv).reshape(shape[:-1] + inv[0].shape),
                       tuple(tuple(np.array(col).reshape(shape) for col in zip(*row))
                             for row in zip(*pad)))
 
 
-def _sequence_mass(g: np.ndarray, tol: float):
-    """mean, var, L^-1 (None for k = 1, I if pinned) and atoms of one sequence."""
+def _sequence_mass(g: np.ndarray, point: bool, tol: float):
+    """L^-1 (I if pinned) and atoms of one sequence with k >= 2."""
     k = (g.size - 1) // 2
-    if k < 1:
-        raise ValueError("need at least the first and second moments")
-    mean = float(g[1])
-    var = max(float(g[2]) - mean * mean, 0.0)
-    eye = None if k == 1 else np.eye(k + 1)
-    if k == 1 or var == 0.0:  # a point mass shares mass only at its mean
-        return mean, var, eye, [(mean, 1.0)] if var == 0.0 else []
+    if point:
+        return np.eye(k + 1), [(float(g[1]), 1.0)]
     fr = _standardize(g[:2 * k + 1], float(np.finfo(float).eps))
     q = fr.inv_chol[-1]  # pi_k / sqrt(pivot) when A(k) is positive definite
     if fr.sd and fr.pivot > fr.band and tol * np.abs(np.convolve(q, q)) @ np.abs(fr.t) < 1.0:
         inv = fr.inv_chol.copy()
         inv[-1] *= math.sqrt(fr.pivot / (fr.pivot - fr.band))
-        return mean, var, inv, []
+        return inv, []
     # singular, or infeasible beyond the rounding where the verdict's tol
     # forgives it: share mass at the Gauss atoms only, at most k
     r = min(fr.inv_chol.shape[0], k)
     x, w = _gauss(fr.t, fr.inv_chol[:r, :r])
-    return mean, var, eye, [(fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)]
+    return np.eye(k + 1), [(fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)]
 
 
 def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:

@@ -134,9 +134,12 @@ def test_bound_infeasible_class_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["feasibility", "--moments", "1,1e200,1e300"],
                                   ["feasibility", "--moments", "1,1e200,1e300,0"],
-                                  ["bound", [1e200, 1e300]]], ids=["n2", "n3", "bound"])
+                                  ["bound", [1e200, 1e300]],
+                                  ["feasibility", "--moments", "1e-300,1e10,1e30"]],
+                         ids=["n2", "n3", "bound", "tiny_mass"])
 def test_overflowing_square_of_the_mean_is_not_psd(argv, tmp_path, capsys):
-    # g2 < g1^2 where g1^2 (and g1^3) overflow: the verdict stays NOT_PSD
+    # g2 < g1^2 where g1^2 (and g1^3), or even g1 / g0, overflow: the verdict
+    # stays NOT_PSD
     if argv[0] == "bound":
         argv = ["bound", write_problem(tmp_path, [{"prior": 0.5, "moments": argv[1]},
                                                   {"prior": 0.5, "moments": [0, 1]}])]
@@ -325,6 +328,9 @@ def test_sweep_rows_equal_one_row_calls(mu2s, log_s1, log_s2s, p1):
     # negative mu2 puts class 2 left of class 1 (a leading '-' needs --mu2=)
     (["--mu2=-3:3:0.5", "--priors", "0.3,0.7"],
      ([-3.0 + 0.5 * i for i in range(13)], 1.0, [1.0, 5.0], 0.3, 0.7)),
+    # 3 mu2^2 overflows: the NOT_PSD check takes is_feasible's units
+    (["--mu2", "8e153:1e154:1e152", "--sigma2sq", "1"],
+     ([8e153 + 1e152 * i for i in range(21)], 1.0, [1.0], 0.5, 0.5)),
 ])
 def test_sweep_edge_rows_equal_one_row_calls(argv, grid, capsys):
     code, out, _ = run(["sweep", *argv], capsys)

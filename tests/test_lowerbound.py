@@ -19,10 +19,8 @@ from momentbounds._search import GRID_POINTS, PASS_POINTS, _linspace, grid_golde
 from momentbounds.lowerbound import (
     _objective_vec,
     first_moment_bound,
-    objective,
     optimal_shift_numeric,
     optimal_shift_two_class,
-    overlap_fraction,
 )
 from momentbounds.moments import is_feasible, moments_of, shared_mass, shift_moments
 
@@ -38,9 +36,9 @@ def random_two_class(rng, equal_priors=True):
     return [make_class(p1, m1, v1), make_class(1.0 - p1, m2, v2)]
 
 
-def grid_sup_objective(classes, num=200_001, margin=10.0, mass=None):
+def grid_sup_objective(classes, mass, num=200_001, margin=10.0):
     """Dense-grid oracle for the supremum of the shift objective; ``mass``
-    is the classes' shared-mass map (default: the two-moment one)."""
+    is the classes' shared-mass map."""
     means = [c.gamma1 for c in classes]
     smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
     xs = np.linspace(min(means) - margin * smax, max(means) + margin * smax, num)
@@ -51,67 +49,75 @@ def grid_sup_objective(classes, num=200_001, margin=10.0, mass=None):
 
 def test_overlap_fraction_peaks_at_mean():
     c = make_class(0.5, 1.7, 2.3)
-    assert overlap_fraction(c, 1.7) == 1.0
+    assert shared_mass(c.moment_sequence(2))(1.7) == 1.0
 
 
 def test_overlap_fraction_half_and_algebraic_form():
     c = make_class(0.5, 0.0, 1.0)
-    assert overlap_fraction(c, 1.0) == pytest.approx(0.5)
+    mass = shared_mass(c.moment_sequence(2))
+    assert mass(1.0) == pytest.approx(0.5)
     # same value through 1 - (g1 - d)^2 / (g2 + d^2 - 2 d g1)
     for d in (-2.0, -0.3, 0.4, 1.0, 5.0):
-        direct = overlap_fraction(c, d)
+        direct = float(mass(d))
         alt = 1.0 - (c.gamma1 - d) ** 2 / (c.gamma2 + d * d - 2 * d * c.gamma1)
         assert direct == pytest.approx(alt, abs=1e-12)
 
 
 def test_overlap_fraction_point_mass():
-    c = ClassSpec(0.5, 2.0, 4.0)
-    assert overlap_fraction(c, 2.0) == 1.0
-    assert overlap_fraction(c, 2.1) == 0.0
+    mass = shared_mass(ClassSpec(0.5, 2.0, 4.0).moment_sequence(2))
+    assert mass(2.0) == 1.0
+    assert mass(2.1) == 0.0
 
 
 def test_objective_identical_classes():
     c = make_class(0.5, 1.0, 2.0)
+    one, mass = shared_mass(c.moment_sequence(2)), shared_mass([c.moment_sequence(2)] * 2)
     for d in (-1.0, 0.0, 1.0, 3.0):
-        assert objective([c, c], d) == pytest.approx(0.5 * overlap_fraction(c, d))
+        assert _objective_vec([c, c], np.array([d]), mass)[0] == pytest.approx(0.5 * one(d))
 
 
 def test_objective_two_class_is_min():
     classes = [make_class(0.5, 0.0, 1.0), make_class(0.5, 2.0, 1.0)]
+    mass = shared_mass([c.moment_sequence(2) for c in classes])
     for d in np.linspace(-2, 4, 31):
-        f1 = overlap_fraction(classes[0], d)
-        f2 = overlap_fraction(classes[1], d)
-        assert objective(classes, d) == pytest.approx(0.5 * min(f1, f2), abs=1e-15)
-    assert objective(classes, 1.0) == pytest.approx(0.25)
+        f1 = float(shared_mass(classes[0].moment_sequence(2))(d))
+        f2 = float(shared_mass(classes[1].moment_sequence(2))(d))
+        assert _objective_vec(classes, np.array([d]), mass)[0] == pytest.approx(
+            0.5 * min(f1, f2), abs=1e-15)
+    assert _objective_vec(classes, np.array([1.0]), mass)[0] == pytest.approx(0.25)
 
 
 def test_optimal_shift_two_class_equal_variances():
     c1, c2 = make_class(0.5, 0.0, 1.0), make_class(0.5, 2.0, 1.0)
-    assert optimal_shift_two_class(c1, c2) == pytest.approx(1.0)
+    mass = shared_mass([c1.moment_sequence(2), c2.moment_sequence(2)])
+    assert optimal_shift_two_class(c1, c2, mass) == pytest.approx(1.0)
 
 
 def test_optimal_shift_two_class_quadratic_case():
     c1, c2 = make_class(0.5, 0.0, 1.0), make_class(0.5, 4.0, 5.0)
-    delta = optimal_shift_two_class(c1, c2)
+    mass = shared_mass([c1.moment_sequence(2), c2.moment_sequence(2)])
+    delta = optimal_shift_two_class(c1, c2, mass)
     assert delta == pytest.approx(math.sqrt(5.0) - 1.0, abs=1e-12)
-    f1 = overlap_fraction(c1, delta)
-    f2 = overlap_fraction(c2, delta)
+    f1 = float(shared_mass(c1.moment_sequence(2))(delta))
+    f2 = float(shared_mass(c2.moment_sequence(2))(delta))
     assert f1 == pytest.approx(f2, abs=1e-12)
     assert f1 == pytest.approx(1.0 / (7.0 - 2.0 * math.sqrt(5.0)), abs=1e-12)
-    d_oracle, _ = grid_sup_objective([c1, c2], num=1_000_001)
+    d_oracle, _ = grid_sup_objective([c1, c2], mass, num=1_000_001)
     assert delta == pytest.approx(d_oracle, abs=1e-4)
 
 
 def test_optimal_shift_two_class_equal_means():
     c1, c2 = make_class(0.5, 1.5, 1.0), make_class(0.5, 1.5, 7.0)
-    assert optimal_shift_two_class(c1, c2) == 1.5
+    mass = shared_mass([c1.moment_sequence(2), c2.moment_sequence(2)])
+    assert optimal_shift_two_class(c1, c2, mass) == 1.5
 
 
 def test_optimal_shift_two_class_unequal_priors_pinned():
     # 0.3 / (1 + d^2) = 0.7 / (1 + (d - 2)^2) at d = (sqrt(17) - 3) / 2
     c1, c2 = make_class(0.3, 0.0, 1.0), make_class(0.7, 2.0, 1.0)
     delta = (math.sqrt(17.0) - 3.0) / 2.0
-    assert optimal_shift_two_class(c1, c2) == pytest.approx(delta, abs=1e-14)
+    mass = shared_mass([c1.moment_sequence(2), c2.moment_sequence(2)])
+    assert optimal_shift_two_class(c1, c2, mass) == pytest.approx(delta, abs=1e-14)
     res = lower_bound([c1, c2], 2)
     assert res.method is BoundMethod.CLOSED_FORM_G2
     assert res.delta_star == pytest.approx(delta, abs=1e-14)
@@ -123,17 +129,18 @@ def test_numeric_matches_closed_form_objective():
     rng = np.random.default_rng(21)
     for _ in range(40):
         classes = random_two_class(rng)
-        d_closed = optimal_shift_two_class(*classes)
-        d_num = optimal_shift_numeric(classes)
-        assert objective(classes, d_num) == pytest.approx(
-            objective(classes, d_closed), abs=1e-6)
+        mass = shared_mass([c.moment_sequence(2) for c in classes])
+        d_closed = optimal_shift_two_class(*classes, mass)
+        d_num = optimal_shift_numeric(classes, mass)
+        assert _objective_vec(classes, np.array([d_num]), mass)[0] == pytest.approx(
+            _objective_vec(classes, np.array([d_closed]), mass)[0], abs=1e-6)
 
 
 def test_numeric_optimum_lies_between_extreme_means():
     rng = np.random.default_rng(22)
     for _ in range(20):
         classes = random_two_class(rng)
-        d = optimal_shift_numeric(classes)
+        d = optimal_shift_numeric(classes, shared_mass([c.moment_sequence(2) for c in classes]))
         lo = min(c.gamma1 for c in classes) - 1e-9
         hi = max(c.gamma1 for c in classes) + 1e-9
         assert lo <= d <= hi
@@ -142,12 +149,14 @@ def test_numeric_optimum_lies_between_extreme_means():
 def test_numeric_beats_dense_grid_three_class():
     classes = [make_class(1 / 3, 0.0, 1.0), make_class(1 / 3, 1.0, 1.0),
                make_class(1 / 3, 5.0, 1.0)]
-    d = optimal_shift_numeric(classes)
-    _, oracle = grid_sup_objective(classes)
-    assert objective(classes, d) >= oracle - 1e-9
+    mass = shared_mass([c.moment_sequence(2) for c in classes])
+    d = optimal_shift_numeric(classes, mass)
+    _, oracle = grid_sup_objective(classes, mass)
+    value = _objective_vec(classes, np.array([d]), mass)[0]
+    assert value >= oracle - 1e-9
     # and never below the midpoint rule of the weaker min-based bound
     means = [c.gamma1 for c in classes]
-    assert objective(classes, d) >= objective(classes, 0.5 * (min(means) + max(means)))
+    assert value >= _objective_vec(classes, np.array([0.5 * (min(means) + max(means))]), mass)[0]
     # G = 3..6 five-atom classes, with the two- and four-moment maps
     rng = np.random.default_rng(31)
     for G in range(3, 7):
@@ -158,7 +167,7 @@ def test_numeric_beats_dense_grid_three_class():
                        for i, p in enumerate(priors)]
             mass = shared_mass([c.moment_sequence(n) for c in classes])
             d = optimal_shift_numeric(classes, mass)
-            _, oracle = grid_sup_objective(classes, num=100_001, mass=mass)
+            _, oracle = grid_sup_objective(classes, mass, num=100_001)
             value = float(_objective_vec(classes, np.array([d]), mass)[0])
             assert value >= oracle - 1e-12, (G, n, value, oracle)
 
@@ -283,9 +292,10 @@ def test_objective_dominates_min_form():
         priors = priors / priors.sum()
         classes = [make_class(p, rng.uniform(-4, 4), rng.uniform(0.1, 4.0))
                    for p in priors]
+        mass = shared_mass([c.moment_sequence(2) for c in classes])
         for d in rng.uniform(-6, 6, size=10):
-            w = [c.prior * overlap_fraction(c, d) for c in classes]
-            assert objective(classes, d) >= (G - 1) * min(w) - 1e-12
+            w = [c.prior * float(shared_mass(c.moment_sequence(2))(d)) for c in classes]
+            assert _objective_vec(classes, np.array([d]), mass)[0] >= (G - 1) * min(w) - 1e-12
 
 
 def test_bound_decreases_with_separation():
@@ -368,7 +378,7 @@ def test_two_class_shift_is_never_beaten_by_a_grid(atoms1, atoms2, p1, n):
     res = lower_bound(classes, n)
     assert res.method is BoundMethod.CLOSED_FORM_G2
     exact = float(_objective_vec(classes, np.array([res.delta_star]), mass)[0])
-    _, oracle = grid_sup_objective(classes, mass=mass)
+    _, oracle = grid_sup_objective(classes, mass)
     numeric = optimal_shift_numeric(classes, mass)
     assert exact >= oracle - 1e-12
     assert exact >= float(_objective_vec(classes, np.array([numeric]), mass)[0]) - 1e-12

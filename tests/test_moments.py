@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from momentbounds import ClassSpec, DiscreteMeasure, InfeasibleSequenceError
-from momentbounds.lowerbound import overlap_fraction
 from momentbounds.moments import (
     FeasibilityReason,
     is_feasible,
@@ -215,7 +214,7 @@ def test_shared_mass_two_moments_is_overlap_fraction():
             got = shared_mass([1.0, c.gamma1, c.gamma2] + tail)(deltas)
             for d, e in zip(deltas, got):
                 assert abs(e - s2 / (s2 + (d - mean) ** 2)) <= 1e-15
-                assert abs(e - overlap_fraction(c, d)) <= 1e-15
+                assert abs(e - shared_mass(c.moment_sequence(2))(d)) <= 1e-15
 
 
 def test_shared_mass_singular_class_is_its_atoms():
@@ -264,6 +263,24 @@ def test_class_axis_map_is_the_per_class_maps_bit_for_bit(G, n):
     for i, (seq, p) in enumerate(zip(seqs, priors)):
         assert np.array_equal(got[i], per_class_mass(seq, deltas, p)), i
         assert np.array_equal(mass(deltas)[i], per_class_mass(seq, deltas, 1.0)), i
+    if n > 3:
+        return
+    # k = 1: a rows axis as well, the (G, rows, n + 1) stack the sweep passes:
+    # three rows of regular classes, the classes above and a row of point masses
+    rows = [[moments_of(random_measure(rng, max_atoms=6, min_atoms=2), n) for _ in range(G)]
+            for _ in range(3)]
+    rows += [seqs, [moments_of(DiscreteMeasure(((x, 1.0),)), n) for x in rng.uniform(-4, 4, G)]]
+    stack = np.swapaxes(np.array(rows), 0, 1)
+    mass = shared_mass(stack)
+    pinned = ~np.isnan(mass.atoms[0][0])
+    assert pinned.shape == (G, len(rows), 1) and pinned[:, -1].all() and pinned[:, -2].any()
+    deltas = np.concatenate([rng.uniform(-12.0, 12.0, (len(rows), 500)), stack[:, :, 1].T], axis=1)
+    got, unscaled = mass(deltas, priors[:, None, None]), mass(deltas)
+    assert got.shape == (G, len(rows), deltas.shape[1])
+    for i, p in enumerate(priors):
+        for r, d in enumerate(deltas):
+            assert np.array_equal(got[i, r], per_class_mass(stack[i, r], d, p)), (i, r)
+            assert np.array_equal(unscaled[i, r], per_class_mass(stack[i, r], d, 1.0)), (i, r)
 
 
 def test_max_shared_mass_requires_feasible_input():
