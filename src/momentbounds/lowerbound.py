@@ -275,8 +275,7 @@ def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, tol: float = mm.DEFAULT_TOL) 
     _validate_problem(classes, 2)
     mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
     mass = mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1), tol)
-    e = np.maximum(np.frexp(mean)[1] - 300, 0)  # is_feasible's units at g0 = 1
-    short = mm._two_moment_variance(np.ldexp(mean, -e), np.ldexp(h2, -2 * e), tol)[1]
+    short = mm._two_moment_variance(1.0, [mean, h2], tol)[2]
     if short.any():
         raise InfeasibleSequenceError(f"class {short.any(axis=1).argmax()} moment sequence "
                                       f"is infeasible ({mm.FeasibilityReason.NOT_PSD.value})")

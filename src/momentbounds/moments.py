@@ -217,11 +217,17 @@ def sequence_rank(seq, tol: float = DEFAULT_TOL) -> int:
     return is_feasible(seq, tol).rank_gamma
 
 
-def _two_moment_variance(mean, h2, tol: float):
-    """h2 - mean^2, and whether it is below 0 beyond tol times its rounding
-    (NOT_PSD); floats or arrays."""
+def _two_moment_variance(g0, moments: list, tol: float):
+    """h1, h2, .. = g1 / g0, g2 / g0, .. in units 2^e that keep 4 |h1|^3 finite, e from g1's
+    and g0's exponents (g1 / g0 can overflow) or 0 for g1 = 0; h2 - h1^2; and whether that
+    is below 0 beyond tol times its rounding (NOT_PSD). Floats, or arrays of many rows."""
+    xp = math if isinstance(moments[0], float) else np  # numpy is slow on scalars
+    e = (xp.frexp(moments[0])[1] - xp.frexp(g0)[1] - 299) * (moments[0] != 0.0)
+    e *= e > 0  # max(e, 0) for ints and arrays
+    h = [xp.ldexp(v, -j * e) / g0 for j, v in enumerate(moments, 1)]
+    mean, h2 = h[:2]
     var = h2 - mean * mean
-    return var, var < -tol * (3.0 * mean * mean + abs(h2))
+    return h, var, var < -tol * (3.0 * mean * mean + abs(h2))
 
 
 def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
@@ -244,12 +250,9 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
         idx = np.arange(k + 1)
         return FeasibilityVerdict(False, reason,
                                   int(np.linalg.matrix_rank(g[idx[:, None] + idx])), k + 1)
-    if k == 1:  # scalars only: the variance, then a point mass's third moment, in
-        # units 2^e that keep 4 |mean|^3 finite, e from g1's and g0's exponents
-        g0, g1 = g[:2].tolist()  # (g1 / g0 itself can overflow)
-        e = max(math.frexp(g1)[1] - math.frexp(g0)[1] - 299, 0)
-        mean, h2, *h3 = [math.ldexp(v, -j * e) / g0 for j, v in enumerate(g.tolist()) if j]
-        var, short = _two_moment_variance(mean, h2, tol)
+    if k == 1:  # the variance, then a point mass's third moment
+        g0, *moments = g.tolist()
+        (mean, h2, *h3), var, short = _two_moment_variance(g0, moments, tol)
         if short:
             return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2)
         if var > 0.0:
@@ -378,8 +381,6 @@ def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     attains its value.
     """
     g = _as_sequence(seq)
-    if g.size < 3:
-        raise ValueError("need at least the first and second moments")
     if abs(g[0] - 1.0) > 1e-12:
         raise ValueError("shared-mass query expects a probability sequence (g0 = 1)")
     full = is_feasible(g, tol)

@@ -154,6 +154,16 @@ def test_overflowing_square_of_the_mean_is_not_psd(argv, tmp_path, capsys):
                                    "rank_A": 2, "rank_gamma": 2}
 
 
+@pytest.mark.parametrize("moments", ["1e-200,0,1e-200", "1e-200,0,1e-200,1e7"],
+                         ids=["n2", "n3"])
+def test_tiny_mass_with_zero_mean_keeps_its_variance(moments, capsys):
+    # g1 = 0 keeps the units 1: the variance g2 / g0 = 1 must not underflow
+    # to a point mass (whose third moment 1e7 would then be refused)
+    code, out, _ = run(["feasibility", "--moments", moments], capsys)
+    assert code == 0
+    assert json.loads(out) == {"feasible": True, "reason": "OK", "rank_A": 2, "rank_gamma": 2}
+
+
 @pytest.mark.parametrize("command", ["bound", "witness"])
 @pytest.mark.parametrize("entry,message", [
     ({"prior": 0.5, "moments": [math.nan]}, "moments must be finite"),

@@ -145,6 +145,17 @@ def test_is_feasible_rejects_negative_mass():
     assert verdict.reason is FeasibilityReason.BAD_ZEROTH
 
 
+@pytest.mark.parametrize("seq", [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1e7], [1.0, 2.0, 4.0],
+                                 [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 3.0], [1.0, 2.0, 4.0, 9.0],
+                                 [1.0, 1e200, 1e300], [1.0, -3.0, 10.0, -30.0]])
+@pytest.mark.parametrize("mass", [2.0 ** -600, 2.0 ** -300, 2.0 ** 8],
+                         ids=["2^-600", "2^-300", "2^8"])
+def test_two_moment_verdict_does_not_depend_on_the_mass(seq, mass):
+    # scaling by a power of 2 is exact: the verdict must not see the units of
+    # the mass, also where g1 = 0 leaves no exponent to take units from
+    assert is_feasible([mass * v for v in seq]) == is_feasible(seq)
+
+
 def test_max_shared_mass_two_moments():
     eps, attained = max_shared_mass([1.0, 1.0, 2.0])
     assert eps == pytest.approx(0.5, abs=1e-12)
