@@ -46,6 +46,8 @@ def _crossings(g: GaussianPair) -> list[float]:
         if b == 0.0:
             return []
         return [-c / b]
+    e = max(math.frexp(v)[1] for v in (a, b, c))  # 4ac can overflow; units 2^e keep the roots
+    a, b, c = (math.ldexp(v, -e) for v in (a, b, c))
     disc = b * b - 4.0 * a * c
     scale = max(b * b, abs(4.0 * a * c), 1e-300)
     if disc <= 1e-12 * scale:

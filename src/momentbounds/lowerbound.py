@@ -104,24 +104,26 @@ def _objective_vec(classes, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarr
     return vals
 
 
-def _inverse_mass_poly(mass: mm.SharedMass, i: int, center, scale) -> np.ndarray:
-    """1/eps_i(delta) in powers of u = (delta - center) / scale, lowest first:
-    in the frame t = (delta - mean) / sd, the anti-diagonal sums of M in
-    v^T M v, v = (1, t, .., t^k), M = inv_chol^T inv_chol (I for k = 1)."""
+def _inverse_mass_poly(mass: mm.SharedMass, i: int, center, scale, rows) -> np.ndarray:
+    """1/eps_i(delta) in powers of u = (delta - center) / scale, lowest first,
+    on ``rows`` (0 elsewhere): in the frame t = (delta - mean) / sd, the anti-
+    diagonal sums of M in v^T M v, v = (1, t, .., t^k), M = inv_chol^T inv_chol."""
     gram = np.eye(2) if mass.inv_chol is None else mass.inv_chol[i].T @ mass.inv_chol[i]
     k = gram.shape[0] - 1
     coef = np.zeros(2 * k + 1)
     for j in range(k + 1):
         coef[j:j + k + 1] += gram[j]
-    mean, sd = mass.mean[i].reshape(-1, 1), np.sqrt(mass.var[i]).reshape(-1, 1)
-    t0, t1 = (center - mean) / sd, scale / sd
+    # the other rows' t is u: their own can overflow, or be 0 / 0 at a point mass
+    mean = np.where(rows, mass.mean[i].reshape(-1, 1), center)
+    sd = np.sqrt(np.where(rows, mass.var[i].reshape(-1, 1), 1.0))
+    t0, t1 = (center - mean) / sd, np.where(rows, scale / sd, 1.0)
     out = coef[None, -1:]
     for c in coef[-2::-1]:  # Horner's rule in t = t0 + t1 u, rounded as np.convolve
         low, high = out * t0, out * t1
         out = np.concatenate([low, high[:, -1:]], axis=1)
         out[:, 1:-1] += high[:, :-1]
         out[:, 0] += c
-    return out
+    return np.where(rows, out, 0.0)
 
 
 def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
@@ -134,9 +136,7 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.nd
     if regular.any():
         narrow = var1 <= var2
         center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p1, p2 = (np.where(regular, _inverse_mass_poly(mass, i, center, scale), 0.0)
-                      for i in range(2))
+        p1, p2 = (_inverse_mass_poly(mass, i, center, scale, regular) for i in range(2))
         cross, deg = c1.prior * p2 - c2.prior * p1, p1.shape[1] - 1
         roots = [_real_roots(cross)]
         if deg > 2:
@@ -189,10 +189,10 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     classes = list(classes)
     if len(classes) < 2:
         raise ValueError("need at least two classes")
-    means = [c.gamma1 for c in classes]
+    means = mass.mean.ravel().tolist()
     atoms = np.ravel([x for x, _ in mass.atoms], order="F")  # class by class
     cands = means + atoms[~np.isnan(atoms)].tolist()
-    smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
+    smax = math.sqrt(mass.var.max())
     if smax == 0.0:
         vals = _objective_vec(classes, np.array(cands), mass)
         return float(cands[int(np.argmax(vals))])
@@ -215,19 +215,6 @@ def first_moment_bound(priors) -> tuple[float, bool]:
     return 1.0 - max(p), False
 
 
-def _validate_problem(classes, n_moments: int) -> None:
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    total = sum(c.prior for c in classes)
-    if abs(total - 1.0) > _PRIOR_SUM_TOL:
-        raise ValueError(f"class priors must sum to 1, got {total}")
-    if n_moments < 1:
-        raise ValueError("n_moments must be at least 1")
-    for i, c in enumerate(classes):
-        if c.n_moments < n_moments:
-            raise ValueError(f"class {i} provides only {c.n_moments} moments")
-
-
 def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBoundResult:
     """Certified lower bound on the supremum Bayes error.
 
@@ -241,7 +228,16 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
     distribution.
     """
     classes = list(classes)
-    _validate_problem(classes, n_moments)
+    if len(classes) < 2:
+        raise ValueError("need at least two classes")
+    total = sum(c.prior for c in classes)
+    if abs(total - 1.0) > _PRIOR_SUM_TOL:
+        raise ValueError(f"class priors must sum to 1, got {total}")
+    if n_moments < 1:
+        raise ValueError("n_moments must be at least 1")
+    for i, c in enumerate(classes):
+        if c.n_moments < n_moments:
+            raise ValueError(f"class {i} provides only {c.n_moments} moments")
     if n_moments == 1:
         value, _ = first_moment_bound([c.prior for c in classes])
         eps = tuple(1.0 for _ in classes)
@@ -263,22 +259,20 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
     value = max(sum(weighted) - max(weighted), 0.0)
     # with two moments the supremum fails exactly when some class must give
     # up all its mass while keeping positive variance (shifted mean zero)
-    attained = n_moments == 2 and all(e < 1.0 or max(c.sigma2, 0.0) == 0.0
-                                      for c, e in zip(classes, eps))
+    attained = n_moments == 2 and all(e < 1.0 or v == 0.0
+                                      for v, e in zip(mass.var.ravel().tolist(), eps))
     return LowerBoundResult(float(value), float(delta), eps, attained, method)
 
 
-def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, tol: float = mm.DEFAULT_TOL) -> np.ndarray:
-    """``lower_bound([c1, c2], 2, tol).value`` for every row of moment columns
-    at once, each row checked first as ``lower_bound`` checks it."""
+def _two_moment_rows(c1: ClassSpec, c2: ClassSpec) -> np.ndarray:
+    """``lower_bound([c1, c2], 2).value`` for every row of moment columns at once,
+    unchecked: ``cli.cmd_sweep`` refuses priors not summing to 1 and variances that
+    are not positive, and then ``is_feasible`` finds no negative variance, as
+    fl(fl(mu^2) + sigma2^2) >= fl(mu^2) (rounding is monotone, and its 2^e units for
+    |mu| >= 2^300 are exact). ``moments.shared_mass`` refuses a g2 that is not finite."""
     classes = [c1, c2]
-    _validate_problem(classes, 2)
     mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
-    mass = mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1), tol)
-    short = mm._two_moment_variance(1.0, [mean, h2], tol)[2]
-    if short.any():
-        raise InfeasibleSequenceError(f"class {short.any(axis=1).argmax()} moment sequence "
-                                      f"is infeasible ({mm.FeasibilityReason.NOT_PSD.value})")
+    mass = mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1))
     delta = _shift_two_class(c1, c2, mass)
     w1, w2 = (c.prior * m for c, m in zip(classes, mass(delta)))  # as lower_bound sums them
     return np.maximum(w1 + w2 - np.maximum(w1, w2), 0.0)

@@ -17,6 +17,7 @@ from momentbounds import (
     lower_bound,
     upper_bound,
 )
+from momentbounds import moments as mm
 from momentbounds.gaussian import normal_cdf
 from momentbounds.lowerbound import _two_moment_rows
 from momentbounds.upperbound import _upper_rows
@@ -47,6 +48,15 @@ def test_feasibility_infeasible(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload == {"feasible": False, "reason": "NOT_PSD", "rank_A": 2, "rank_gamma": 2}
+
+
+@pytest.mark.parametrize("moments, reason", [("1,0,0,0,1", "RANK_MISMATCH"),
+                                             ("1,0,0,0,1,0", "RANGE_FAILURE")], ids=["n4", "n5"])
+def test_feasibility_zero_pivot_verdicts(moments, reason, capsys):
+    # zero variance pins one atom at the mean, which cannot carry the fourth moment
+    code, out, _ = run(["feasibility", "--moments", moments], capsys)
+    assert code == 1
+    assert json.loads(out) == {"feasible": False, "reason": reason, "rank_A": 1, "rank_gamma": 1}
 
 
 def test_feasibility_parse_error(capsys):
@@ -176,6 +186,41 @@ def test_non_finite_problem_file_exits_two(command, entry, message, tmp_path, ca
     path = write_problem(tmp_path, [entry, {"prior": 0.5, "moments": [1.0, 2.0]}])
     code, out, err = run([command, path], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bound_far_pair_keeps_the_gaussian_below_the_upper_bound(tmp_path, capsys):
+    # 4ac of the Gaussian crossing quadratic overflows for these classes
+    path = write_problem(tmp_path, [{"prior": 0.5, "moments": [0.0, 1e-300]},
+                                    {"prior": 0.5, "moments": [1e8, 1.0000000000000002e16]}])
+    code, out, err = run(["bound", path], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["gaussian"] == 0.0 <= report["upper"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", [{"prior": 0.5, "moments": [0, 1]}] * 2],
+     "problem file must be an object with a 'classes' list"),
+    (["bound", {"classes": [{"prior": 0.5, "moments": [0, 1]}]}], "need at least two classes"),
+    (["witness", {"classes": [{"prior": 0.5, "moments": []}, {"prior": 0.5, "moments": [0, 1]}]}],
+     "each class needs a non-empty moments list"),
+    (["sweep", "--priors", "0.3,0.6"], "sweep needs exactly two priors summing to 1"),
+    (["sweep", "--sigma2sq", "0"], "sweep variances must be positive"),
+    (["sweep", "--mu2", "1:2"], "expected FROM:TO:STEP, got '1:2'"),
+    (["sweep", "--mu2=a:1:1"], "expected FROM:TO:STEP, got 'a:1:1'"),
+], ids=["list_file", "one_class", "no_moments", "priors", "variance", "two_parts", "not_a_number"])
+def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
+    if not isinstance(argv[-1], str):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [argv[0], str(path)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the option value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 def test_bound_missing_file_exits_two(capsys):
@@ -330,6 +375,23 @@ def test_sweep_rows_equal_one_row_calls(mu2s, log_s1, log_s2s, p1):
                                     p1, 1.0 - p1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(mu2s=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0)),
+                     min_size=1, max_size=12),
+       log_s1=st.floats(-300.0, 300.0),
+       log_s2s=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3),
+       p1=st.floats(0.05, 0.95))
+def test_sweep_rows_equal_one_row_calls_over_the_double_range(mu2s, log_s1, log_s2s, p1):
+    # the batched rows skip lower_bound's feasibility check: every row the sweep
+    # can build passes it (here mu2^2 + sigma2^2 <= 2e300 is always finite)
+    mu2s = [sign * 10.0 ** e for sign, e in mu2s]
+    s2s = [10.0 ** e for e in log_s2s]
+    for m in mu2s:
+        for v in s2s:
+            assert mm.is_feasible([1.0, m, m * m + v]).feasible, (m, v)
+    assert_rows_match_one_row_calls(mu2s, 10.0 ** log_s1, s2s, p1, 1.0 - p1)
+
+
 @pytest.mark.parametrize("argv, grid", [
     # equal priors and variances at mu2 = 0: the crossing polynomial is all zeros
     (["--mu2", "0:0:1", "--sigma2sq", "1"], ([0.0], 1.0, [1.0], 0.5, 0.5)),
@@ -338,9 +400,14 @@ def test_sweep_rows_equal_one_row_calls(mu2s, log_s1, log_s2s, p1):
     # negative mu2 puts class 2 left of class 1 (a leading '-' needs --mu2=)
     (["--mu2=-3:3:0.5", "--priors", "0.3,0.7"],
      ([-3.0 + 0.5 * i for i in range(13)], 1.0, [1.0, 5.0], 0.3, 0.7)),
-    # 3 mu2^2 overflows: the NOT_PSD check takes is_feasible's units
+    # 3 mu2^2 overflows: lower_bound's feasibility check, which the batched rows
+    # skip, judges each row in units 2^e
     (["--mu2", "8e153:1e154:1e152", "--sigma2sq", "1"],
      ([8e153 + 1e152 * i for i in range(21)], 1.0, [1.0], 0.5, 0.5)),
+    # point-mass rows next to a regular one: their shift polynomials, built
+    # with the regular row's and then dropped, must not overflow
+    (["--mu2", "0:2e8:1e8", "--sigma1sq", "1e-300", "--sigma2sq", "1e-10"],
+     ([0.0, 1e8, 2e8], 1e-300, [1e-10], 0.5, 0.5)),
 ])
 def test_sweep_edge_rows_equal_one_row_calls(argv, grid, capsys):
     code, out, _ = run(["sweep", *argv], capsys)

@@ -10,6 +10,11 @@ from momentbounds import ClassSpec, GaussianPair, gaussian_pair_bayes_error, upp
 from momentbounds.gaussian import _crossings, normal_cdf
 
 
+# classes 1e8 apart with tiny variances: 4ac of the crossing quadratic
+# overflows, and the Bayes error is 0 in doubles
+FAR_PAIRS = [GaussianPair(0.0, 1e8, 1e-300, 1e-10), GaussianPair(0.0, 1e8, 1e-300, 2.0)]
+
+
 def quadrature_bayes_error(g, epsabs=1e-12):
     """Oracle: integrate the pointwise minimum of the weighted densities."""
     def density(x, mu, var):
@@ -74,6 +79,12 @@ def test_agrees_with_quadrature_randomized():
             quadrature_bayes_error(g), abs=1e-8)
 
 
+@pytest.mark.parametrize("g", FAR_PAIRS, ids=["s2_1e-10", "s2_2"])
+def test_far_pair_with_overflowing_discriminant(g):
+    assert len(_crossings(g)) == 2
+    assert gaussian_pair_bayes_error(g) == 0.0
+
+
 def test_translation_and_scale_invariance():
     base = gaussian_pair_bayes_error(GaussianPair(0.0, 1.5, 1.0, 3.0))
     for c in (-11.0, 4.2):
@@ -95,13 +106,15 @@ def test_equal_priors_range():
 
 def test_gaussian_error_below_upper_bound():
     rng = np.random.default_rng(43)
+    pairs = list(FAR_PAIRS)
     for _ in range(30):
         mu = sorted(rng.uniform(-4, 4, size=2))
         var = rng.uniform(0.2, 5.0, size=2)
         p1 = rng.uniform(0.2, 0.8)
-        g = GaussianPair(mu[0], mu[1], var[0], var[1], p1, 1 - p1)
-        classes = [ClassSpec(p1, mu[0], mu[0] ** 2 + var[0]),
-                   ClassSpec(1 - p1, mu[1], mu[1] ** 2 + var[1])]
+        pairs.append(GaussianPair(mu[0], mu[1], var[0], var[1], p1, 1 - p1))
+    for g in pairs:
+        classes = [ClassSpec(g.p1, g.mu1, g.mu1 ** 2 + g.sigma1sq),
+                   ClassSpec(g.p2, g.mu2, g.mu2 ** 2 + g.sigma2sq)]
         assert gaussian_pair_bayes_error(g) <= upper_bound(*classes).value + 1e-9
 
 

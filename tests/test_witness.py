@@ -129,6 +129,17 @@ def test_verify_witness_first_moments_only():
     assert report.bayes_error >= (2 / 3) * (1.0 - 1e-9) - 1e-12
 
 
+def test_verify_witness_all_point_masses():
+    # every class a point mass: the shift search has only the means to try,
+    # and the witness keeps each class's single atom (eps 1 or 0, no back-off)
+    classes = [ClassSpec(0.3, 0.0, 0.0), ClassSpec(0.3, 0.0, 0.0), ClassSpec(0.4, 1.0, 1.0)]
+    report = verify_witness(classes, 2)
+    bound = report.bound
+    assert (bound.value, bound.delta_star, bound.epsilons) == (0.3, 0.0, (1.0, 1.0, 0.0))
+    assert report.certified
+    assert [m.atoms for m in report.measures] == [((0.0, 1.0),), ((0.0, 1.0),), ((1.0, 1.0),)]
+
+
 def test_verify_witness_randomized_two_moment():
     rng = np.random.default_rng(53)
     for _ in range(25):
