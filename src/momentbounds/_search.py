@@ -44,11 +44,11 @@ def golden_max(f, lo: float, hi: float, width: float = 1e-10):
     return x, f(x)
 
 
-def grid_golden_max(f_vec, lo: float, hi: float, extra=None):
+def grid_golden_max(f_vec, lo: float, hi: float, extra):
     """Maximize a vectorized function on [lo, hi]; returns (argmax, value).
 
     ``f_vec`` must accept a 1-D ndarray and return values of the same shape.
-    The interval is scanned on ``GRID_POINTS`` equispaced points together with any
+    The interval is scanned on ``GRID_POINTS`` equispaced points together with the
     ``extra`` candidates (clipped into the interval) in one call. The grid
     points on either side of the best point bracket it; each pass then scans
     the bracket on ``PASS_POINTS`` points in one call and keeps the
@@ -60,7 +60,7 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra=None):
     if hi < lo:
         raise ValueError("empty search interval")
     grid = _linspace(lo, hi, GRID_POINTS)
-    xs = grid if extra is None else np.concatenate([grid, [min(max(e, lo), hi) for e in extra]])
+    xs = np.concatenate([grid, [min(max(e, lo), hi) for e in extra]])
     vals = np.asarray(f_vec(xs), dtype=float)
     i = int(vals.argmax())
     x, best = xs[i], vals[i]

@@ -201,20 +201,6 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     return float(x)
 
 
-def first_moment_bound(priors) -> tuple[float, bool]:
-    """Bound from first moments alone: 1 - max prior, never attained.
-
-    The shared mass can be pushed arbitrarily close to 1 (but not to 1), so
-    the supremum Bayes error given only the class means is 1 - max_i p(i).
-    """
-    p = [float(q) for q in priors]
-    if len(p) < 2:
-        raise ValueError("need at least two classes")
-    if any(not 0.0 < q < 1.0 for q in p) or abs(sum(p) - 1.0) > _PRIOR_SUM_TOL:
-        raise ValueError("priors must lie in (0, 1) and sum to 1")
-    return 1.0 - max(p), False
-
-
 def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBoundResult:
     """Certified lower bound on the supremum Bayes error.
 
@@ -239,9 +225,11 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         if c.n_moments < n_moments:
             raise ValueError(f"class {i} provides only {c.n_moments} moments")
     if n_moments == 1:
-        value, _ = first_moment_bound([c.prior for c in classes])
+        # the means alone let the shared mass be pushed arbitrarily close to 1
+        # (but not to 1): the supremum is 1 - max prior, never attained
         eps = tuple(1.0 for _ in classes)
-        return LowerBoundResult(value, 0.0, eps, False, BoundMethod.FIRST_MOMENT)
+        return LowerBoundResult(1.0 - max(c.prior for c in classes), 0.0, eps, False,
+                                BoundMethod.FIRST_MOMENT)
     for i, c in enumerate(classes):
         verdict = mm.is_feasible(c.moment_sequence(n_moments), tol)
         if not verdict.feasible:
@@ -256,7 +244,8 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         method = BoundMethod.NUMERIC
     eps = tuple(mass(delta).ravel().tolist())
     weighted = [c.prior * e for c, e in zip(classes, eps)]
-    value = max(sum(weighted) - max(weighted), 0.0)
+    weighted.remove(max(weighted))  # sum - max cancels when one class keeps nearly all
+    value = sum(weighted)
     # with two moments the supremum fails exactly when some class must give
     # up all its mass while keeping positive variance (shifted mean zero)
     attained = n_moments == 2 and all(e < 1.0 or v == 0.0
@@ -274,5 +263,5 @@ def _two_moment_rows(c1: ClassSpec, c2: ClassSpec) -> np.ndarray:
     mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
     mass = mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1))
     delta = _shift_two_class(c1, c2, mass)
-    w1, w2 = (c.prior * m for c, m in zip(classes, mass(delta)))  # as lower_bound sums them
-    return np.maximum(w1 + w2 - np.maximum(w1, w2), 0.0)
+    w1, w2 = (c.prior * m for c, m in zip(classes, mass(delta)))
+    return np.minimum(w1, w2)  # as lower_bound sums all but the largest

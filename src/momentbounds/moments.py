@@ -112,9 +112,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
-    def translated(self, offset: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(tuple((x + offset, w) for x, w in self.atoms))
-
 
 def _as_sequence(seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)

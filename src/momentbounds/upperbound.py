@@ -111,10 +111,3 @@ def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     """
     value, s_star, clipped = _upper_rows(c1, c2)
     return UpperBoundResult(float(value[0, 0]), float(s_star[0, 0]), bool(clipped[0, 0]))
-
-
-def trivial_upper_bound(G: int) -> float:
-    """Ceiling (G - 1) / G that holds with no moment information at all."""
-    if G < 2:
-        raise ValueError("need at least two classes")
-    return (G - 1) / G

@@ -20,11 +20,7 @@ from momentbounds import (
     verify_witness,
 )
 from momentbounds.gaussian import _crossings, normal_cdf
-from momentbounds.lowerbound import (
-    _objective_vec,
-    first_moment_bound,
-    optimal_shift_numeric,
-)
+from momentbounds.lowerbound import _objective_vec, optimal_shift_numeric
 from momentbounds.moments import is_feasible, max_shared_mass, moments_of, shared_mass
 from momentbounds.witness import build_witness, discrete_bayes_error
 
@@ -215,13 +211,11 @@ def test_criterion_8_first_moment_bound(acceptance_registry):
             G = int(rng.integers(2, 6))
             priors = rng.uniform(0.2, 1.0, size=G)
             priors = priors / priors.sum()
-            value, attained = first_moment_bound(priors)
-            assert abs(value - (1.0 - priors.max())) <= 1e-12
-            assert not attained
             means = rng.uniform(-5.0, 5.0, size=G)
             classes = [ClassSpec(p, m) for p, m in zip(priors, means)]
             res = lower_bound(classes, 1)
-            assert abs(res.value - value) <= 1e-12
+            assert abs(res.value - (1.0 - priors.max())) <= 1e-12
+            assert not res.attained
             eps = 1.0 - 1e-6
             measures = build_witness(classes, 0.0, [eps] * G, n_moments=1)
             for c, m in zip(classes, measures):

@@ -188,14 +188,36 @@ def test_non_finite_problem_file_exits_two(command, entry, message, tmp_path, ca
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+FAR_PAIR = [{"prior": 0.5, "moments": [0.0, 1e-300]},
+            {"prior": 0.5, "moments": [1e8, 1.0000000000000002e16]}]
+
+
 def test_bound_far_pair_keeps_the_gaussian_below_the_upper_bound(tmp_path, capsys):
     # 4ac of the Gaussian crossing quadratic overflows for these classes
-    path = write_problem(tmp_path, [{"prior": 0.5, "moments": [0.0, 1e-300]},
-                                    {"prior": 0.5, "moments": [1e8, 1.0000000000000002e16]}])
-    code, out, err = run(["bound", path], capsys)
+    code, out, err = run(["bound", write_problem(tmp_path, FAR_PAIR)], capsys)
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["gaussian"] == 0.0 <= report["upper"]
+
+
+def test_bound_far_pair_keeps_the_lower_bound_below_the_upper_bound(tmp_path, capsys):
+    # p1 eps1 is about 0.5 and p2 eps2 1e-16: 0.5 + 1e-16 - 0.5 would read
+    # 1.1e-16, above the upper bound of 1e-16, so the check allows no slack
+    code, out, err = run(["bound", write_problem(tmp_path, FAR_PAIR)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert 0.0 < report["lower"] <= report["upper"]
+    c1, c2 = (ClassSpec.from_moments(c["prior"], c["moments"]) for c in FAR_PAIR)
+    assert _two_moment_rows(c1, c2)[0, 0] == report["lower"]  # the sweep's lower column
+
+
+def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
+    # (G - 1) / G for any G >= 2; one class is refused (test_usage_errors_exit_two)
+    for G, ceiling in ((2, 0.5), (4, 0.75), (10, 0.9)):
+        classes = [{"prior": 1.0 / G, "moments": [float(i)]} for i in range(G)]
+        code, out, _ = run(["bound", write_problem(tmp_path, classes)], capsys)
+        assert code == 0
+        assert json.loads(out)["trivial"] == pytest.approx(ceiling)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -18,7 +18,6 @@ from momentbounds import (
 from momentbounds._search import GRID_POINTS, PASS_POINTS, _linspace, grid_golden_max
 from momentbounds.lowerbound import (
     _objective_vec,
-    first_moment_bound,
     optimal_shift_numeric,
     optimal_shift_two_class,
 )
@@ -232,9 +231,13 @@ def test_lower_bound_first_moment():
 
 
 def test_first_moment_bound_values():
-    assert first_moment_bound([0.5, 0.5]) == (0.5, False)
-    assert first_moment_bound([0.9, 0.1])[0] == pytest.approx(0.1)
-    value, _ = first_moment_bound([0.25] * 4)
+    def first_moment(priors):
+        res = lower_bound([ClassSpec(p, float(i)) for i, p in enumerate(priors)], 1)
+        return res.value, res.attained
+
+    assert first_moment([0.5, 0.5]) == (0.5, False)
+    assert first_moment([0.9, 0.1])[0] == pytest.approx(0.1)
+    value, _ = first_moment([0.25] * 4)
     assert value == pytest.approx(0.75)  # coincides with the trivial ceiling
 
 

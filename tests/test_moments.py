@@ -325,7 +325,7 @@ def test_shift_moments_matches_translated_atoms():
         measure = random_measure(rng)
         delta = rng.uniform(-3, 3)
         via_moments = shift_moments(moments_of(measure, 4), delta)
-        via_atoms = moments_of(measure.translated(-delta), 4)
+        via_atoms = moments_of(DiscreteMeasure(tuple((x - delta, w) for x, w in measure.atoms)), 4)
         np.testing.assert_allclose(via_moments, via_atoms, rtol=1e-12, atol=1e-12)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from momentbounds import ClassSpec, DiscreteMeasure, lower_bound, upper_bound
 from momentbounds.moments import moments_of
-from momentbounds.upperbound import _worst_error_vec, trivial_upper_bound
+from momentbounds.upperbound import _worst_error_vec
 
 
 def make_class(prior, mean, var):
@@ -205,11 +205,3 @@ def test_upper_bound_is_never_beaten_by_a_grid(p1, m1, m2, v1, v2):
     assert res.value <= float(_worst_error_vec(c1, c2, s).min()) + 1e-12
     if not res.clipped:
         assert worst_error(c1, c2, res.s_star) == res.value
-
-
-def test_trivial_upper_bound():
-    assert trivial_upper_bound(2) == pytest.approx(0.5)
-    assert trivial_upper_bound(4) == pytest.approx(0.75)
-    assert trivial_upper_bound(10) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        trivial_upper_bound(1)

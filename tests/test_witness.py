@@ -91,7 +91,8 @@ def test_discrete_bayes_error_shift_invariance_is_exact():
     base = discrete_bayes_error([nu1, nu2], [0.4, 0.6])
     for _ in range(10):
         c = rng.uniform(-50, 50)
-        moved = discrete_bayes_error([nu1.translated(c), nu2.translated(c)], [0.4, 0.6])
+        moved = discrete_bayes_error([DiscreteMeasure(tuple((x + c, w) for x, w in nu.atoms))
+                                      for nu in (nu1, nu2)], [0.4, 0.6])
         assert moved == base
 
 
