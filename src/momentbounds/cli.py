@@ -222,7 +222,7 @@ def cmd_witness(args) -> int:
     payload = {
         "measures": [[{"x": x, "mass": w} for x, w in m.atoms] for m in report.measures],
         "report": {
-            "moment_mismatch": report.moment_mismatch,
+            "moment_mismatch": _json_number(report.moment_mismatch),
             "bayes_error": report.bayes_error,
             "lower": report.bound.value,
             "delta_star": report.bound.delta_star,

@@ -31,21 +31,10 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _log_ratio_coeffs(g: GaussianPair) -> tuple[float, float, float]:
-    # q(x) = a x^2 + b x + c with q(x) > 0 iff p1 N(x; mu1, s1) > p2 N(x; mu2, s2)
-    a = 0.5 / g.sigma2sq - 0.5 / g.sigma1sq
-    b = g.mu1 / g.sigma1sq - g.mu2 / g.sigma2sq
-    c = (g.mu2 * g.mu2) / (2.0 * g.sigma2sq) - (g.mu1 * g.mu1) / (2.0 * g.sigma1sq) \
-        + math.log(g.p1 / g.p2) + 0.5 * math.log(g.sigma2sq / g.sigma1sq)
-    return a, b, c
-
-
-def _crossings(g: GaussianPair) -> list[float]:
-    a, b, c = _log_ratio_coeffs(g)
-    if g.sigma1sq == g.sigma2sq:
-        if b == 0.0:
-            return []
-        return [-c / b]
+def _crossings(a: float, b: float, c: float) -> list[float]:
+    """Sorted crossings of q = a x^2 + b x + c: linear exactly when a == 0."""
+    if a == 0.0:
+        return [-c / b] if b else []
     e = max(math.frexp(v)[1] for v in (a, b, c))  # 4ac can overflow; units 2^e keep the roots
     a, b, c = (math.ldexp(v, -e) for v in (a, b, c))
     disc = b * b - 4.0 * a * c
@@ -61,16 +50,19 @@ def _crossings(g: GaussianPair) -> list[float]:
 def gaussian_pair_bayes_error(g: GaussianPair) -> float:
     """Bayes error of the optimal rule for two weighted Gaussian densities.
 
-    Solves p1 N(x; mu1, s1^2) = p2 N(x; mu2, s2^2) (linear for equal
-    variances, quadratic otherwise), assigns each interval between crossings
-    to the class with the larger weighted density, and integrates the winning
+    Solves p1 N(x; mu1, s1^2) = p2 N(x; mu2, s2^2) (linear when a = 0 below,
+    as for equal variances), assigns each interval between crossings to the
+    class with the larger weighted density, and integrates the winning
     densities with the normal CDF. Class 1 wins where q = a x^2 + b x + c is
     nonnegative: right of every crossing exactly when the leading nonzero
     coefficient of q is positive (c >= 0 when a = b = 0), and q changes sign
     at each crossing.
     """
-    a, b, c = _log_ratio_coeffs(g)
-    roots = _crossings(g)
+    a = 0.5 / g.sigma2sq - 0.5 / g.sigma1sq
+    b = g.mu1 / g.sigma1sq - g.mu2 / g.sigma2sq
+    c = (g.mu2 * g.mu2) / (2.0 * g.sigma2sq) - (g.mu1 * g.mu1) / (2.0 * g.sigma1sq) \
+        + math.log(g.p1 / g.p2) + 0.5 * math.log(g.sigma2sq / g.sigma1sq)
+    roots = _crossings(a, b, c)
     class1_wins = a > 0.0 if a else (b > 0.0 if b else c >= 0.0)
     if len(roots) % 2:
         class1_wins = not class1_wins  # the winner of the leftmost interval

@@ -154,21 +154,24 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
     positive last pivot is never taken for singular: a positive definite
     A(k) is feasible, and its (k+1)-point rule exact.
     """
-    h = g / g[0]
-    mean = float(h[1]) if h.size > 1 else 0.0
-    j = np.arange(h.size)
-    shift = _shift_matrix(h.size, mean)
-    ah = np.abs(h) + np.finfo(float).tiny  # below the normal range rounding is absolute
-    c, b = shift @ h, tol * (np.abs(shift) @ ah)
-    sd = math.sqrt(abs(c[2])) if h.size > 2 and abs(c[2]) > b[2] else 0.0
-    if sd ** (h.size - 1) < np.finfo(float).tiny:  # t would overflow
-        sd = 0.0
-    scale = (sd or 1.0) ** j
-    shift /= scale[:, None]
-    t, err = c / scale, b / scale
+    j = np.arange(g.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a t past the doubles is refused below
+        h = g / g[0]
+        mean = float(h[1]) if h.size > 1 else 0.0
+        shift = _shift_matrix(h.size, mean)
+        ah = np.abs(h) + np.finfo(float).tiny  # below the normal range rounding is absolute
+        c, b = shift @ h, tol * (np.abs(shift) @ ah)
+        sd = math.sqrt(abs(c[2])) if h.size > 2 and abs(c[2]) > b[2] else 0.0
+        if sd < np.finfo(float).tiny ** (1.0 / max(h.size - 1, 1)):  # t would overflow
+            sd = 0.0
+        scale = (sd or 1.0) ** j  # sd^j past the doubles: t_j = 0, and |t_j| < 1 there
+        shift /= scale[:, None]
+        t, err = c / scale, b / scale
     if sd:
         t[2] = math.copysign(1.0, c[2])
     k = (h.size - 1) // 2
+    if not np.isfinite(t[:2 * k + 1]).all():  # feasible ones overflow only near 1e308: NOT_PSD
+        return _Frame(mean, sd, t, np.eye(1), 0, -math.inf, 0.0)
     inv = np.eye(k + 1)  # t0 = 1
     pivot, band = math.inf, 0.0
     for r in range(1, k + 1):
@@ -298,9 +301,11 @@ class SharedMass:
         else:
             out = np.where(pinned, 0.0, d - self.mean)  # pinned rows are replaced below
             out /= np.sqrt(np.where(pinned, 1.0, self.var))
-            v = np.vander(out.ravel(), self.inv_chol.shape[-1], increasing=True)
-            w = v.reshape(out.shape + v.shape[-1:]) @ np.swapaxes(self.inv_chol, -1, -2)
-            np.divide(scale, np.einsum("...j,...j->...", w, w), out=out)
+            with np.errstate(over="ignore", invalid="ignore"):  # t^k past the doubles: inf * 0
+                v = np.vander(out.ravel(), self.inv_chol.shape[-1], increasing=True)
+                w = v.reshape(out.shape + v.shape[-1:]) @ np.swapaxes(self.inv_chol, -1, -2)
+                np.divide(scale, np.einsum("...j,...j->...", w, w), out=out)
+            np.copyto(out, 0.0, where=np.isinf(v[:, -1]).reshape(out.shape))  # the map's limit
         if self.atoms:
             np.copyto(out, 0.0, where=pinned)
             for x, w in self.atoms:
@@ -419,7 +424,8 @@ def recover_atoms(seq, tol: float = DEFAULT_TOL) -> DiscreteMeasure:
 
 
 def moments_of(measure: DiscreteMeasure, n: int) -> list[float]:
-    """Raw moments g_0 .. g_n of a discrete measure."""
+    """Raw moments g_0 .. g_n of a discrete measure, inf or NaN past the doubles."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    return [float(sum(w * x ** j for x, w in measure.atoms)) for j in range(n + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars: libm's pow, as floats'
+        return [float(sum(w * np.float64(x) ** j for x, w in measure.atoms)) for j in range(n + 1)]

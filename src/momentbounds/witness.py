@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import moments as mm
 from .errors import InfeasibleSequenceError
 from .lowerbound import ClassSpec, LowerBoundResult, lower_bound
@@ -66,7 +68,11 @@ def build_witness(classes, delta_star: float, epsilons, n_moments: int,
                     "epsilon 1 requires the class to be a point mass at the shared location")
             measures.append(mm.DiscreteMeasure(((delta_star, 1.0),)))
             continue
-        residual = [v - eps * delta_star ** j for j, v in enumerate(seq)]
+        with np.errstate(over="ignore"):  # numpy scalars: libm's pow, inf past the doubles
+            residual = [v - eps * np.float64(delta_star) ** j if eps else v
+                        for j, v in enumerate(seq)]
+        if not np.isfinite(residual).all():
+            raise InfeasibleSequenceError("the residual's moments leave the double range")
         atoms = list(mm.recover_atoms(residual, tol).atoms)
         if eps > 0.0:
             atoms.append((delta_star, eps))
@@ -104,8 +110,6 @@ def discrete_bayes_error(measures, priors) -> float:
 
 
 def _backed_off(c: ClassSpec, eps: float, n_moments: int, tol: float) -> float:
-    if eps <= 0.0:
-        return 0.0
     if c.gamma2 is not None and max(c.sigma2, 0.0) == 0.0 and eps == 1.0:
         return 1.0  # point mass sitting exactly on the shared location
     if n_moments == 1:
@@ -136,13 +140,11 @@ def verify_witness(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> Witn
            for c, e in zip(classes, bound.epsilons)]
     measures = build_witness(classes, bound.delta_star, eps,
                              n_moments=n_moments, tol=tol)
-    mismatch = 0.0
-    for c, m in zip(classes, measures):
-        target = c.moment_sequence(n_moments)
-        got = mm.moments_of(m, n_moments)
-        for t, v in zip(target, got):
-            mismatch = max(mismatch, abs(v - t) / max(1.0, abs(t)))
+    target = np.array([c.moment_sequence(n_moments) for c in classes])
+    got = np.array([mm.moments_of(m, n_moments) for m in measures])
+    # np.max keeps the NaN of a moment past the double range
+    mismatch = float(np.max(np.abs(got - target) / np.maximum(1.0, np.abs(target))))
     error = discrete_bayes_error(measures, [c.prior for c in classes])
     certified = mismatch <= 1e-9 and error >= bound.value - 1e-6
-    return WitnessReport(tuple(measures), float(mismatch), float(error),
+    return WitnessReport(tuple(measures), mismatch, float(error),
                          bound, certified)

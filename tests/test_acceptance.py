@@ -241,7 +241,11 @@ def test_criterion_9_gaussian_baseline(acceptance_registry):
         sd = math.sqrt(max(g.sigma1sq, g.sigma2sq))
         lo = min(g.mu1, g.mu2) - 40 * sd
         hi = max(g.mu1, g.mu2) + 40 * sd
-        pts = [x for x in _crossings(g) if lo < x < hi]
+        a = 0.5 / g.sigma2sq - 0.5 / g.sigma1sq  # the log ratio of the weighted densities
+        b = g.mu1 / g.sigma1sq - g.mu2 / g.sigma2sq
+        c = (g.mu2 * g.mu2) / (2.0 * g.sigma2sq) - (g.mu1 * g.mu1) / (2.0 * g.sigma1sq) \
+            + math.log(g.p1 / g.p2) + 0.5 * math.log(g.sigma2sq / g.sigma1sq)
+        pts = [x for x in _crossings(a, b, c) if lo < x < hi]
         val, _ = quad(integrand, lo, hi, points=pts or None, limit=400, epsabs=1e-12)
         return val
 

@@ -211,6 +211,71 @@ def test_bound_far_pair_keeps_the_lower_bound_below_the_upper_bound(tmp_path, ca
     assert _two_moment_rows(c1, c2)[0, 0] == report["lower"]  # the sweep's lower column
 
 
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that json.dumps would write."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+ULP_APART = ["--sigma1sq", "1.9999999999999998", "--sigma2sq", "1.9999999999999996"]
+# classes whose sd^2 (sd^4 of the residual), t^k of the shared-mass map, an
+# atom's x^3, or the shared atom's delta^3 leaves the double range
+SD_POWER = [{"prior": 0.3, "moments": [-1, 1e200, -1]},
+            {"prior": 0.7, "moments": [2, 1e200, 5]}]
+MAP_POWER = [{"prior": 0.4496981791654368, "moments": [-1.3888327661121157e-177,
+                                                       1.9999999999999998, -1.0,
+                                                       2.023476290570616e+213]},
+             {"prior": 0.5503018208345631, "moments": [0.0, 1.9999999999999998, 0.0,
+                                                       1.4829738489714503e+85]}]
+ATOM_POWER = [{"prior": 0.6424429715292911, "moments": [1.0, 1.4604043691193453,
+                                                        2.328914827139254e+124]},
+              {"prior": 0.3575570284707089, "moments": [-0.8346680482350202,
+                                                        5.290670115237687e+191,
+                                                        5.571968370310112e+29]}]
+RESIDUAL_POWER = [{"prior": 0.37990050544666343, "moments": [-0.9751662173118625, 1e+300,
+                                                             -5.181313037967997e-06]},
+                  {"prior": 0.42409341131356293, "moments": [0.5598948594660005,
+                                                             2.0558989633632125e+295,
+                                                             1.188647876123908e-143]},
+                  {"prior": 0.19600608323977364, "moments": [1.0, 6.848648441917102e+300,
+                                                             -4.785337121766439]}]
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["sweep", "--mu2", "1:1:1", *ULP_APART], 0, "out"),
+    (["bound", [{"prior": 0.5, "moments": [0.0, 1.9999999999999998]},
+                {"prior": 0.5, "moments": [1.0, 2.9999999999999996]}]], 0, "out"),
+    (["feasibility", "--moments", "1,0,1e160,0,1"], 1, "out"),
+    (["witness", SD_POWER], 1, "out"),
+    (["bound", MAP_POWER], 0, "out"),
+    (["witness", ATOM_POWER], 1, "out"),
+    (["witness", RESIDUAL_POWER], 1, "err"),
+], ids=["sweep_ulp_apart", "bound_ulp_apart", "feasibility_sd_power", "witness_sd_power",
+        "bound_map_power", "witness_atom_power", "witness_residual_power"])
+def test_ulp_apart_and_far_inputs_answer(argv, code, stream, tmp_path, capsys):
+    # variances an ulp apart make the Gaussian quadratic's leading coefficient
+    # 0; the others take powers past the double range. Each answers with its
+    # exit code and JSON (the sweep: CSV), and main raises nothing
+    if not isinstance(argv[1], str):
+        argv = [argv[0], write_problem(tmp_path, argv[1])]
+    got, out, err = run(argv, capsys)
+    assert got == code
+    if stream == "err":
+        assert out == ""
+        assert strict_json(err)["error"] == "INFEASIBLE"
+    elif argv[0] == "sweep":
+        assert out.splitlines()[1:] == ["1,2,0.444444444444,0.5,0.361836804916"]
+    else:
+        payload = strict_json(out)
+        if argv[0] == "feasibility":
+            assert payload["reason"] == "NOT_PSD"
+        elif argv[0] == "witness":
+            assert payload["report"]["certified"] is False
+        else:
+            assert payload["lower"] <= payload["upper"]
+
+
 def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
     # (G - 1) / G for any G >= 2; one class is refused (test_usage_errors_exit_two)
     for G, ceiling in ((2, 0.5), (4, 0.75), (10, 0.9)):

@@ -15,6 +15,16 @@ from momentbounds.gaussian import _crossings, normal_cdf
 FAR_PAIRS = [GaussianPair(0.0, 1e8, 1e-300, 1e-10), GaussianPair(0.0, 1e8, 1e-300, 2.0)]
 
 
+def crossings(g):
+    """Where the weighted densities cross: the sign changes of
+    log(p1 N(x; mu1, s1^2)) - log(p2 N(x; mu2, s2^2)) = a x^2 + b x + c."""
+    a = 0.5 / g.sigma2sq - 0.5 / g.sigma1sq
+    b = g.mu1 / g.sigma1sq - g.mu2 / g.sigma2sq
+    c = (g.mu2 * g.mu2) / (2.0 * g.sigma2sq) - (g.mu1 * g.mu1) / (2.0 * g.sigma1sq) \
+        + math.log(g.p1 / g.p2) + 0.5 * math.log(g.sigma2sq / g.sigma1sq)
+    return _crossings(a, b, c)
+
+
 def quadrature_bayes_error(g, epsabs=1e-12):
     """Oracle: integrate the pointwise minimum of the weighted densities."""
     def density(x, mu, var):
@@ -27,7 +37,7 @@ def quadrature_bayes_error(g, epsabs=1e-12):
     sd = math.sqrt(max(g.sigma1sq, g.sigma2sq))
     lo = min(g.mu1, g.mu2) - 40 * sd
     hi = max(g.mu1, g.mu2) + 40 * sd
-    pts = [x for x in _crossings(g) if lo < x < hi]
+    pts = [x for x in crossings(g) if lo < x < hi]
     val, _ = quad(integrand, lo, hi, points=pts or None, limit=400, epsabs=epsabs)
     return val
 
@@ -65,7 +75,7 @@ def test_equal_means_different_variances():
     # the wide class 1 does (a > 0)
     for g in (GaussianPair(0.0, 0.0, 1.0, 5.0, 0.1, 0.9),
               GaussianPair(0.0, 0.0, 5.0, 1.0, 0.9, 0.1)):
-        assert _crossings(g) == []
+        assert crossings(g) == []
         assert gaussian_pair_bayes_error(g) == 1.0 - 0.9
 
 
@@ -81,8 +91,18 @@ def test_agrees_with_quadrature_randomized():
 
 @pytest.mark.parametrize("g", FAR_PAIRS, ids=["s2_1e-10", "s2_2"])
 def test_far_pair_with_overflowing_discriminant(g):
-    assert len(_crossings(g)) == 2
+    assert len(crossings(g)) == 2
     assert gaussian_pair_bayes_error(g) == 0.0
+
+
+def test_variances_an_ulp_apart_cross_once():
+    # 0.5 / s rounds alike for both variances, so the leading coefficient is
+    # 0: one crossing, and the equal-variance error
+    g = GaussianPair(0.0, 1.0, 1.9999999999999998, 1.9999999999999996)
+    assert len(crossings(g)) == 1
+    assert gaussian_pair_bayes_error(g) == pytest.approx(
+        gaussian_pair_bayes_error(GaussianPair(0.0, 1.0, 2.0, 2.0)), abs=1e-15)
+    assert _crossings(0.0, 0.0, 1.0) == [] and _crossings(0.0, 2.0, -1.0) == [0.5]
 
 
 def test_translation_and_scale_invariance():

@@ -113,6 +113,11 @@ def test_is_feasible_cauchy_schwarz_violation():
     verdict = is_feasible([1.0, 2.0, 1.0])
     assert not verdict.feasible
     assert verdict.reason is FeasibilityReason.NOT_PSD
+    # g4 < g2^2 where sd^4 overflows, and g2 < g1^2 where the shift to the
+    # mean does (g1^2, 2 g1^2 past the doubles)
+    for seq in ([1.0, 0.0, 1e160, 0.0, 1.0], [1.0, 1e200, 1.0, 0.0, 1.0]):
+        verdict = is_feasible(seq)
+        assert (verdict.feasible, verdict.reason) == (False, FeasibilityReason.NOT_PSD)
 
 
 def test_is_feasible_zero_mass_with_second_moment():
@@ -235,6 +240,14 @@ def test_shared_mass_singular_class_is_its_atoms():
         np.testing.assert_allclose(mass.atoms, [(-1.0, 0.5), (1.0, 0.5)], atol=1e-12)
         atoms = [x for x, _ in mass.atoms]
         np.testing.assert_allclose(mass(atoms + [0.0, 0.5]), [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+
+
+def test_shared_mass_vanishes_where_a_power_overflows():
+    # t^k past the doubles would give inf * 0 = NaN in the k >= 2 map; its
+    # limit is 0, as the k = 1 map gives
+    for seq in ([1.0, 0.0, 1.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0, 3.0, 0.0], [1.0, 0.0, 1.0]):
+        assert shared_mass(seq)(1e200) == 0.0
+        np.testing.assert_array_equal(shared_mass(seq)([-1e200, 1e200]), [0.0, 0.0])
 
 
 def per_class_mass(seq, deltas, scale):
