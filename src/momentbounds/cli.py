@@ -24,7 +24,7 @@ import numpy as np
 from . import moments as mm
 from .errors import InfeasibleSequenceError
 from .gaussian import GaussianPair, gaussian_pair_bayes_error
-from .lowerbound import ClassSpec, _two_moment_rows, lower_bound
+from .lowerbound import ClassSpec, _two_moment_mass, _two_moment_rows, lower_bound
 from .upperbound import _upper_rows, upper_bound
 from .witness import verify_witness
 
@@ -205,8 +205,8 @@ def cmd_sweep(args) -> int:
     c1 = ClassSpec(priors[0], 0.0, args.sigma1sq)
     with np.errstate(over="ignore"):  # refused below as a non-finite moment
         c2 = ClassSpec(priors[1], mu2, mu2 * mu2 + s2sq)
-    low = _two_moment_rows(c1, c2)
-    up = _upper_rows(c1, c2)[0]
+    mass = _two_moment_mass(c1, c2)
+    low, up = _two_moment_rows(c1, c2, mass), _upper_rows(c1, c2, mass)[0]
     lines = ["mu2,sigma2sq,lower,upper,gaussian"]
     for m, v, lo, hi in zip(*(a.ravel().tolist() for a in (mu2, s2sq, low, up))):
         gauss = gaussian_pair_bayes_error(GaussianPair(

@@ -36,15 +36,15 @@ def _crossings(a: float, b: float, c: float) -> list[float]:
     if a == 0.0:
         return [-c / b] if b else []
     e = max(math.frexp(v)[1] for v in (a, b, c))  # 4ac can overflow; units 2^e keep the roots
-    a, b, c = (math.ldexp(v, -e) for v in (a, b, c))
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c), 1e-300)
-    if disc <= 1e-12 * scale:
+    a_e, b, c = (math.ldexp(v, -e) for v in (a, b, c))
+    disc = b * b - 4.0 * a_e * c
+    if disc <= 0.0:
         # tangency or no real crossing: one class dominates everywhere
         return []
     r = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(r, b)) if b != 0.0 else 0.5 * r
-    return sorted((q / a, c / q))
+    # an a that underflows in units 2^e puts the far root past the doubles
+    return sorted((q / a_e if a_e else math.copysign(math.inf, q * a), c / q))
 
 
 def gaussian_pair_bayes_error(g: GaussianPair) -> float:
@@ -73,8 +73,6 @@ def gaussian_pair_bayes_error(g: GaussianPair) -> float:
             mu, sd, p = g.mu1, math.sqrt(g.sigma1sq), g.p1
         else:
             mu, sd, p = g.mu2, math.sqrt(g.sigma2sq), g.p2
-        hi_cdf = 1.0 if math.isinf(right) else normal_cdf((right - mu) / sd)
-        lo_cdf = 0.0 if math.isinf(left) else normal_cdf((left - mu) / sd)
-        winning_mass += p * (hi_cdf - lo_cdf)
+        winning_mass += p * (normal_cdf((right - mu) / sd) - normal_cdf((left - mu) / sd))
         class1_wins = not class1_wins
     return min(max(1.0 - winning_mass, 0.0), 1.0)

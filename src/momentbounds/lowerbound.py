@@ -253,15 +253,18 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
     return LowerBoundResult(float(value), float(delta), eps, attained, method)
 
 
-def _two_moment_rows(c1: ClassSpec, c2: ClassSpec) -> np.ndarray:
-    """``lower_bound([c1, c2], 2).value`` for every row of moment columns at once,
+def _two_moment_mass(c1: ClassSpec, c2: ClassSpec) -> mm.SharedMass:
+    """The two-moment ``moments.shared_mass`` map of two classes, per row of columns."""
+    mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
+    return mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1))
+
+
+def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
+    """``lower_bound([c1, c2], 2).value`` for every row of ``_two_moment_mass``,
     unchecked: ``cli.cmd_sweep`` refuses priors not summing to 1 and variances that
     are not positive, and then ``is_feasible`` finds no negative variance, as
     fl(fl(mu^2) + sigma2^2) >= fl(mu^2) (rounding is monotone, and its 2^e units for
     |mu| >= 2^300 are exact). ``moments.shared_mass`` refuses a g2 that is not finite."""
-    classes = [c1, c2]
-    mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
-    mass = mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1))
     delta = _shift_two_class(c1, c2, mass)
-    w1, w2 = (c.prior * m for c, m in zip(classes, mass(delta)))
+    w1, w2 = (c.prior * m for c, m in zip((c1, c2), mass(delta)))
     return np.minimum(w1, w2)  # as lower_bound sums all but the largest

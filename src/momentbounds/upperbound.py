@@ -1,11 +1,12 @@
 """Worst-case error of the best threshold classifier in one dimension.
 
 For a half-line S and a distribution with known mean and variance, the largest
-probability any such distribution can place on S is 1 / (1 + c) with
-c = (s - mu)^2 / sigma^2 when the mean lies outside S, and 1 otherwise (a
+probability any such distribution can place on S is 1 when the mean lies in
+S, and otherwise the two-moment ``moments.shared_mass`` at its endpoint (a
 sharpened Chebyshev-Cantelli inequality). Minimizing the resulting worst-case
 two-class error over the threshold location upper-bounds the supremum Bayes
-error of any pair of distributions with the given moments.
+error of any pair of distributions with the given moments. The lower bound
+reads the same map, so lower <= upper holds exactly for two and three moments.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import _columns, _real_roots
-from .lowerbound import ClassSpec
+from ._search import _real_roots
+from .lowerbound import ClassSpec, _two_moment_mass
+from .moments import SharedMass
 
 
 @dataclass(frozen=True)
@@ -33,30 +35,25 @@ class UpperBoundResult:
     clipped: bool
 
 
-def _worst_error_vec(c1: ClassSpec, c2: ClassSpec, s: np.ndarray) -> np.ndarray:
-    """Worst-case error of each threshold in ``s`` over all moment-feasible pairs.
-
-    The class with the smaller mean (c1 on a tie) is assigned the left
-    half-line, so its error region is [s, inf) and the other class's is
-    (-inf, s]. Per row when the moments are columns.
-    """
-    left = c1.gamma1 <= c2.gamma1
-    # a subnormal variance: gap^2 / var = inf, and a tail of 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t1, t2 = (np.where(np.where(errs_right, c.gamma1 >= s, c.gamma1 <= s), 1.0,
-                           np.where(c.sigma2 > 0.0, 1.0 / (1.0 + (s - c.gamma1) ** 2 / c.sigma2),
-                                    0.0))
-                  for c, errs_right in ((c1, left), (c2, np.logical_not(left))))
+def _worst_error_vec(c1: ClassSpec, c2: ClassSpec, s: np.ndarray, mass: SharedMass) -> np.ndarray:
+    """Worst-case error of each threshold in ``s`` over all moment-feasible pairs,
+    per row, from ``mass``, the classes' two-moment shared-mass map. The class with
+    the smaller mean (c1 on a tie) is assigned the left half-line, so its error
+    region is [s, inf) and the other class's is (-inf, s]."""
+    (mu1, mu2), (m1, m2) = mass.mean, mass(s)
+    left = mu1 <= mu2
+    t1 = np.where(np.where(left, mu1 >= s, mu1 <= s), 1.0, m1)
+    t2 = np.where(np.where(left, mu2 <= s, mu2 >= s), 1.0, m2)
     return c1.prior * t1 + c2.prior * t2
 
 
-def _upper_rows(c1: ClassSpec, c2: ClassSpec):
+def _upper_rows(c1: ClassSpec, c2: ClassSpec, mass: SharedMass):
     """``upper_bound``'s value, threshold and clipped flag for every row at
-    once, as columns; ``gamma1`` and ``gamma2`` may be (rows, 1) columns."""
+    once, as columns; ``mass`` is the classes' ``_two_moment_mass``, whose
+    means and variances may be (rows, 1) columns."""
     if abs(c1.prior + c2.prior - 1.0) > 1e-12:
         raise ValueError("the two class priors must sum to 1")
-    one, two = ((c.prior, c.gamma1, np.maximum(c.sigma2, 0.0)) for c in (c1, c2))
-    p1, mu1, var1, p2, mu2, var2 = _columns(*one, *two)
+    (mu1, mu2), (var1, var2), p1, p2 = mass.mean, mass.var, c1.prior, c2.prior
     left = mu1 <= mu2
     p_lo, mu_lo, var_lo, p_hi, mu_hi, var_hi = (
         np.where(left, x, y) for x, y in zip((p1, mu1, var1, p2, mu2, var2),
@@ -85,7 +82,7 @@ def _upper_rows(c1: ClassSpec, c2: ClassSpec):
     x = np.concatenate([np.where((x > 0.0) & (x < g), x, np.nan), np.cbrt(q_a) ** 2], axis=1)
     s = np.concatenate([np.where(a_lo, mu_lo, mu_hi) + np.where(a_lo, 1.0, -1.0) * unit * x,
                         np.nextafter(mu_lo, math.inf), np.nextafter(mu_hi, -math.inf)], axis=1)
-    errors = _worst_error_vec(c1, c2, s)
+    errors = _worst_error_vec(c1, c2, s, mass)
     i = np.arange(len(s)), np.where(np.isnan(s), np.inf, errors).argmin(axis=1)
     err, s_in = errors[i][:, None], s[i][:, None]
     # a threshold at -inf (+inf) gives the line to the upper (lower) class and
@@ -109,5 +106,7 @@ def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     A finite ``s_star`` is a threshold whose error is the value. Equal
     variances and priors give min{4 sigma^2 / (4 sigma^2 + gap^2), 1/2}.
     """
-    value, s_star, clipped = _upper_rows(c1, c2)
+    if c1.gamma2 is None or c2.gamma2 is None:
+        raise ValueError("second moment unknown for this class")
+    value, s_star, clipped = _upper_rows(c1, c2, _two_moment_mass(c1, c2))
     return UpperBoundResult(float(value[0, 0]), float(s_star[0, 0]), bool(clipped[0, 0]))

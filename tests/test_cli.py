@@ -19,7 +19,7 @@ from momentbounds import (
 )
 from momentbounds import moments as mm
 from momentbounds.gaussian import normal_cdf
-from momentbounds.lowerbound import _two_moment_rows
+from momentbounds.lowerbound import _two_moment_mass, _two_moment_rows
 from momentbounds.upperbound import _upper_rows
 
 
@@ -208,7 +208,8 @@ def test_bound_far_pair_keeps_the_lower_bound_below_the_upper_bound(tmp_path, ca
     report = json.loads(out)
     assert 0.0 < report["lower"] <= report["upper"]
     c1, c2 = (ClassSpec.from_moments(c["prior"], c["moments"]) for c in FAR_PAIR)
-    assert _two_moment_rows(c1, c2)[0, 0] == report["lower"]  # the sweep's lower column
+    # the sweep's lower column
+    assert _two_moment_rows(c1, c2, _two_moment_mass(c1, c2))[0, 0] == report["lower"]
 
 
 def strict_json(text):
@@ -274,6 +275,35 @@ def test_ulp_apart_and_far_inputs_answer(argv, code, stream, tmp_path, capsys):
             assert payload["report"]["certified"] is False
         else:
             assert payload["lower"] <= payload["upper"]
+
+
+TANGENT_PAIR = [{"prior": 0.19276355112477117, "moments": [-6191.5, 5038334672.25]},
+                {"prior": 0.8072364488752288, "moments": [169.47, 28720.08090000039]}]
+
+
+@pytest.mark.parametrize("argv, gaussian", [
+    (["sweep", "--mu2", "1000:1000:1", "--sigma1sq", "1e6", "--sigma2sq", "1e-8",
+      "--priors", "0.3,0.7"], 8.819757e-08),
+    (["bound", TANGENT_PAIR], 2.991566e-10),
+    (["sweep", "--mu2", "1e154:1e154:1", "--sigma1sq", "1", "--sigma2sq",
+      "1.0000000000000002"], 0.0),
+], ids=["sweep_tangency", "bound_tangency", "sweep_far_root"])
+def test_gaussian_baseline_of_a_narrow_or_far_class(argv, gaussian, tmp_path, capsys):
+    # a narrow class makes b^2 - 4ac of the crossing quadratic cancel far below
+    # its terms, yet two crossings remain; a leading coefficient that underflows
+    # in the units of the other two puts the far crossing past the doubles.
+    # The nonzero values are 60-digit mpmath integrals between exact crossings
+    if argv[0] == "bound":
+        argv = [argv[0], write_problem(tmp_path, argv[1])]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    if argv[0] == "bound":
+        report = json.loads(out)
+        upper, got = report["upper"], report["gaussian"]
+    else:
+        upper, got = map(float, out.splitlines()[1].split(",")[3:])
+    assert got <= upper
+    assert got == pytest.approx(gaussian, abs=1e-9)
 
 
 def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
@@ -443,8 +473,9 @@ def assert_rows_match_one_row_calls(mu2s, s1, s2s, p1, p2):
     # the batched pass over the grid, bit for bit against one call per row
     s2, mu2 = (a.reshape(-1, 1) for a in np.meshgrid(s2s, mu2s, indexing="ij"))
     c1, c2 = ClassSpec(p1, 0.0, s1), ClassSpec(p2, mu2, mu2 * mu2 + s2)
-    low = _two_moment_rows(c1, c2)
-    up, s_star, clipped = _upper_rows(c1, c2)
+    mass = _two_moment_mass(c1, c2)
+    low = _two_moment_rows(c1, c2, mass)
+    up, s_star, clipped = _upper_rows(c1, c2, mass)
     for i, (m, v) in enumerate(zip(mu2.ravel().tolist(), s2.ravel().tolist())):
         one = [ClassSpec(p1, 0.0, s1), ClassSpec(p2, m, m * m + v)]
         ub = upper_bound(*one)

@@ -47,6 +47,8 @@ CASES = {
                            "priors must lie in (0, 1) and sum to 1"),
     "gaussian_prior": (lambda: GaussianPair(0.0, 1.0, 1.0, 1.0, p1=1.0, p2=0.0),
                        "priors must lie in (0, 1)"),
+    "upper_without_gamma2": (lambda: upper_bound(ClassSpec(0.5, 0.0), PAIR[1]),
+                             "second moment unknown for this class"),
     "upper_prior_sum": (lambda: upper_bound(ClassSpec(0.3, 0.0, 1.0), ClassSpec(0.3, 1.0, 2.0)),
                         "the two class priors must sum to 1"),
     "empty_interval": (lambda: grid_golden_max(lambda x: x, 1.0, 0.0, []),

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentbounds import ClassSpec, DiscreteMeasure, lower_bound, upper_bound
+from momentbounds.lowerbound import _two_moment_mass
 from momentbounds.moments import moments_of
 from momentbounds.upperbound import _worst_error_vec
 
@@ -18,7 +19,7 @@ def make_class(prior, mean, var):
 
 
 def worst_error(c1, c2, s):
-    return float(_worst_error_vec(c1, c2, np.array([s]))[0])
+    return float(_worst_error_vec(c1, c2, np.array([s]), _two_moment_mass(c1, c2))[0, 0])
 
 
 def tail_prob(mu, var, s, errs_right):
@@ -127,6 +128,34 @@ def test_upper_bound_dominates_lower_bound():
         assert up.value <= 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lower_bound_never_exceeds_upper_bound_over_wide_ranges(n):
+    # both bounds read one rounded two-moment shared-mass map, which shrinks
+    # as |x - mu| grows: the ordering holds with no slack. The normal third
+    # moment keeps n = 3 feasible.
+    rng = np.random.default_rng(2011)
+    for _ in range(500):
+        p = float(rng.uniform(0.05, 0.95))
+        classes = []
+        for prior in (p, 1.0 - p):
+            m = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 12.0))
+            v = float(10.0 ** rng.uniform(-30.0, 20.0))
+            classes.append(ClassSpec(prior, m, m * m + v, (m * m * m + 3.0 * m * v,)))
+        if not all(math.isfinite(c.gamma2) for c in classes):
+            continue
+        assert lower_bound(classes, n).value <= upper_bound(*classes).value, classes
+
+
+def test_wide_pair_reads_one_value_for_both_bounds():
+    # class 2 is a point mass: the best threshold, one ulp inside its mean,
+    # errs by class 1's tail there, which rounds as its shared mass does
+    classes = [ClassSpec.from_moments(0.4672549868179575, [-1.0839707938327052,
+                                                           169643070070.3915]),
+               ClassSpec.from_moments(0.5327450131820425, [880.5433394024017,
+                                                           775356.5725659331])]
+    assert lower_bound(classes, 2).value == upper_bound(*classes).value == 0.46725284596962174
+
+
 def test_upper_bound_translation_invariance():
     rng = np.random.default_rng(34)
     base = [make_class(0.5, -1.0, 2.0), make_class(0.5, 3.0, 0.7)]
@@ -188,7 +217,7 @@ def test_upper_bound_next_to_a_narrow_class(c1, c2):
     toward = math.copysign(1.0, wide.gamma1 - narrow.gamma1)
     s = narrow.gamma1 + toward * np.logspace(-40.0, 1.0, 400_001)
     res = upper_bound(c1, c2)
-    assert res.value <= float(_worst_error_vec(c1, c2, s).min()) + 1e-12
+    assert res.value <= float(_worst_error_vec(c1, c2, s, _two_moment_mass(c1, c2)).min()) + 1e-12
     assert worst_error(c1, c2, res.s_star) == res.value
 
 
@@ -202,6 +231,6 @@ def test_upper_bound_is_never_beaten_by_a_grid(p1, m1, m2, v1, v2):
     res = upper_bound(c1, c2)
     sd_lo, sd_hi = (math.sqrt(v1), math.sqrt(v2)) if m1 <= m2 else (math.sqrt(v2), math.sqrt(v1))
     s = np.linspace(min(m1, m2) - 10.0 * sd_lo, max(m1, m2) + 10.0 * sd_hi, 200_001)
-    assert res.value <= float(_worst_error_vec(c1, c2, s).min()) + 1e-12
+    assert res.value <= float(_worst_error_vec(c1, c2, s, _two_moment_mass(c1, c2)).min()) + 1e-12
     if not res.clipped:
         assert worst_error(c1, c2, res.s_star) == res.value
