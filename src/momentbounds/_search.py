@@ -99,9 +99,10 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
     """Real parts of the roots of each row's polynomial, NaN-padded.
 
     Row by row these are ``numpy.roots``: leading zeros are dropped, each
-    zero at the low end is a root at 0 (listed last), and the rest are the
-    eigenvalues of the companion matrix (Edelman & Murakami, *Math. Comp.*
-    1995); a row of zeros has none. Rows of one degree share one eigvals call.
+    zero at the low end is a root at 0 (listed last), degree 1 and 2 take the
+    stable quadratic formula (a complex pair gives its real part twice), and
+    higher degrees the eigenvalues of the companion matrix (Edelman & Murakami,
+    *Math. Comp.* 1995), one eigvals call per degree; a row of zeros has none.
     """
     rows, size = coef.shape
     out = np.full((rows, size - 1), np.nan)
@@ -111,11 +112,22 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
     for d in sorted(set(deg.tolist()) - {-1, 0}):  # not np.unique: it maps ~1 MB
         r = (deg == d).nonzero()[0]
         p = coef[r[:, None], high[r, None] - np.arange(d + 1)]  # highest first
-        companion = np.zeros((len(r), d * d))
-        companion[:, d::d + 1] = 1.0  # the subdiagonal
-        companion[:, :d] = -p[:, 1:] / p[:, :1]
-        out[r, :d] = np.linalg.eigvals(companion.reshape(-1, d, d)).real
-    if low.any():  # zero roots, after the eigenvalues
+        if d == 1:
+            out[r, 0] = -p[:, 1] / p[:, 0]
+        elif d == 2:
+            a, b, c = p.T
+            disc = b * b - 4.0 * a * c
+            real = disc >= 0.0
+            # q != 0 on real rows, as c != 0; a complex pair's q is -b / 2
+            q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
+            out[r, 0] = q / a
+            out[r, 1] = np.where(real, c / np.where(real, q, 1.0), out[r, 0])
+        else:
+            companion = np.zeros((len(r), d * d))
+            companion[:, d::d + 1] = 1.0  # the subdiagonal
+            companion[:, :d] = -p[:, 1:] / p[:, :1]
+            out[r, :d] = np.linalg.eigvals(companion.reshape(-1, d, d)).real
+    if low.any():  # zero roots, after the others
         col = np.arange(size - 1) - deg[:, None]
         out[(deg[:, None] >= 0) & (col >= 0) & (col < low[:, None])] = 0.0
     return out

@@ -23,14 +23,10 @@ import numpy as np
 
 from . import moments as mm
 from .errors import InfeasibleSequenceError
-from .gaussian import GaussianPair, gaussian_pair_bayes_error
+from .gaussian import GaussianPair, _bayes_error, gaussian_pair_bayes_error
 from .lowerbound import ClassSpec, _two_moment_mass, _two_moment_rows, lower_bound
 from .upperbound import _upper_rows, upper_bound
 from .witness import verify_witness
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _cell(value) -> str:
@@ -40,8 +36,8 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, list):
-        return ";".join(map(_fmt, value))
-    return _fmt(value)
+        return ";".join(f"{v:.12g}" for v in value)
+    return f"{value:.12g}"
 
 
 def _json_number(x):
@@ -201,7 +197,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs exactly two priors summing to 1")
     if args.sigma1sq <= 0.0 or any(v <= 0.0 for v in args.sigma2sq):
         raise ValueError("sweep variances must be positive")
-    s2sq, mu2 = (a.reshape(-1, 1) for a in np.meshgrid(args.sigma2sq, args.mu2, indexing="ij"))
+    s2sq = np.repeat(args.sigma2sq, len(args.mu2)).reshape(-1, 1)
+    mu2 = np.tile(args.mu2, len(args.sigma2sq)).reshape(-1, 1)
     c1 = ClassSpec(priors[0], 0.0, args.sigma1sq)
     with np.errstate(over="ignore"):  # refused below as a non-finite moment
         c2 = ClassSpec(priors[1], mu2, mu2 * mu2 + s2sq)
@@ -209,9 +206,8 @@ def cmd_sweep(args) -> int:
     low, up = _two_moment_rows(c1, c2, mass), _upper_rows(c1, c2, mass)[0]
     lines = ["mu2,sigma2sq,lower,upper,gaussian"]
     for m, v, lo, hi in zip(*(a.ravel().tolist() for a in (mu2, s2sq, low, up))):
-        gauss = gaussian_pair_bayes_error(GaussianPair(
-            mu1=0.0, mu2=m, sigma1sq=args.sigma1sq, sigma2sq=v, p1=priors[0], p2=priors[1]))
-        lines.append(",".join([_fmt(m), _fmt(v), _fmt(lo), _fmt(hi), _fmt(gauss)]))
+        gauss = _bayes_error(0.0, m, args.sigma1sq, v, *priors)
+        lines.append(f"{m:.12g},{v:.12g},{lo:.12g},{hi:.12g},{gauss:.12g}")
     print("\n".join(lines))
     return 0
 

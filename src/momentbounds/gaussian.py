@@ -35,8 +35,9 @@ def _crossings(a: float, b: float, c: float) -> list[float]:
     """Sorted crossings of q = a x^2 + b x + c: linear exactly when a == 0."""
     if a == 0.0:
         return [-c / b] if b else []
-    e = max(math.frexp(v)[1] for v in (a, b, c))  # 4ac can overflow; units 2^e keep the roots
-    a_e, b, c = (math.ldexp(v, -e) for v in (a, b, c))
+    # 4ac can overflow; units 2^e keep the roots
+    e = max(math.frexp(a)[1], math.frexp(b)[1], math.frexp(c)[1])
+    a_e, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     disc = b * b - 4.0 * a_e * c
     if disc <= 0.0:
         # tangency or no real crossing: one class dominates everywhere
@@ -58,21 +59,32 @@ def gaussian_pair_bayes_error(g: GaussianPair) -> float:
     coefficient of q is positive (c >= 0 when a = b = 0), and q changes sign
     at each crossing.
     """
-    a = 0.5 / g.sigma2sq - 0.5 / g.sigma1sq
-    b = g.mu1 / g.sigma1sq - g.mu2 / g.sigma2sq
-    c = (g.mu2 * g.mu2) / (2.0 * g.sigma2sq) - (g.mu1 * g.mu1) / (2.0 * g.sigma1sq) \
-        + math.log(g.p1 / g.p2) + 0.5 * math.log(g.sigma2sq / g.sigma1sq)
+    return _bayes_error(g.mu1, g.mu2, g.sigma1sq, g.sigma2sq, g.p1, g.p2)
+
+
+def _bayes_error(mu1: float, mu2: float, v1: float, v2: float, p1: float, p2: float) -> float:
+    """``gaussian_pair_bayes_error`` of unchecked variances v1, v2 > 0 and priors.
+    q is scaled by f = 2^-e, 1 unless 0.5 / v overflows, and a variance ratio
+    past the doubles has its log taken as a difference of logs."""
+    small = min(v1, v2)
+    f = 1.0 if small >= 2.0 ** -1024 else 2.0 ** (1023 + math.frexp(small)[1])
+    ratio = v2 / v1
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(v2) - math.log(v1)
+    a = 0.5 * f / v2 - 0.5 * f / v1
+    b = (mu1 / v1 - mu2 / v2) * f
+    c = ((mu2 * mu2) / (2.0 * v2) - (mu1 * mu1) / (2.0 * v1)
+         + math.log(p1 / p2) + 0.5 * log_ratio) * f
     roots = _crossings(a, b, c)
     class1_wins = a > 0.0 if a else (b > 0.0 if b else c >= 0.0)
     if len(roots) % 2:
         class1_wins = not class1_wins  # the winner of the leftmost interval
     edges = [-math.inf] + roots + [math.inf]
+    sd1, sd2, root2 = math.sqrt(v1), math.sqrt(v2), math.sqrt(2.0)
     winning_mass = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
-        if class1_wins:
-            mu, sd, p = g.mu1, math.sqrt(g.sigma1sq), g.p1
-        else:
-            mu, sd, p = g.mu2, math.sqrt(g.sigma2sq), g.p2
-        winning_mass += p * (normal_cdf((right - mu) / sd) - normal_cdf((left - mu) / sd))
+        mu, sd, p = (mu1, sd1, p1) if class1_wins else (mu2, sd2, p2)
+        # normal_cdf(right) - normal_cdf(left), in its arithmetic
+        winning_mass += p * (0.5 * math.erfc(-((right - mu) / sd) / root2)
+                             - 0.5 * math.erfc(-((left - mu) / sd) / root2))
         class1_wins = not class1_wins
     return min(max(1.0 - winning_mass, 0.0), 1.0)

@@ -5,8 +5,8 @@ mass at a shared location ``delta``. The largest mass class ``i`` can spare is
 ``eps_i(delta)``, row i of the classes' ``moments.shared_mass`` map. The
 certified bound, sum_i p_i eps_i - max_i p_i eps_i, is maximized over the
 shared location: exactly for two classes, among the real roots of polynomials
-(companion-matrix eigenvalues; Edelman & Murakami, *Math. Comp.* 1995), by a
-grid scan refined in batched bracket passes for three or more.
+(closed form for two and three moments, companion-matrix eigenvalues beyond),
+by a grid scan refined in batched bracket passes for three or more classes.
 """
 
 from __future__ import annotations
@@ -104,26 +104,26 @@ def _objective_vec(classes, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarr
     return vals
 
 
-def _inverse_mass_poly(mass: mm.SharedMass, i: int, center, scale, rows) -> np.ndarray:
-    """1/eps_i(delta) in powers of u = (delta - center) / scale, lowest first,
-    on ``rows`` (0 elsewhere): in the frame t = (delta - mean) / sd, the anti-
-    diagonal sums of M in v^T M v, v = (1, t, .., t^k), M = inv_chol^T inv_chol."""
-    gram = np.eye(2) if mass.inv_chol is None else mass.inv_chol[i].T @ mass.inv_chol[i]
-    k = gram.shape[0] - 1
-    coef = np.zeros(2 * k + 1)
+def _inverse_mass_poly(mass: mm.SharedMass, center, scale, rows) -> np.ndarray:
+    """Both classes' 1/eps(delta) in powers of u = (delta - center) / scale,
+    lowest first, on ``rows`` (0 elsewhere), as (2, rows, 2k + 1). In the frame
+    t = (delta - mean) / sd it is c(t), c the anti-diagonal sums of M in v^T M v,
+    v = (1, t, .., t^k), M = inv_chol^T inv_chol; t = t0 + t1 u gives u^m the
+    coefficient t1^m sum_p C(p + m, m) c_(p+m) t0^p: one product per class."""
+    gram = (np.eye(2)[None] if mass.inv_chol is None
+            else np.swapaxes(mass.inv_chol, -1, -2) @ mass.inv_chol)
+    k = gram.shape[-1] - 1
+    c = np.zeros((len(gram), 4 * k + 1))  # 0 past c_2k
     for j in range(k + 1):
-        coef[j:j + k + 1] += gram[j]
+        c[:, j:j + k + 1] += gram[:, j]
+    n, s = range(2 * k + 1), np.arange(2 * k + 1)
+    taylor = c[:, s[:, None] + s] * np.array([[math.comb(p + m, m) for m in n] for p in n])
     # the other rows' t is u: their own can overflow, or be 0 / 0 at a point mass
-    mean = np.where(rows, mass.mean[i].reshape(-1, 1), center)
-    sd = np.sqrt(np.where(rows, mass.var[i].reshape(-1, 1), 1.0))
-    t0, t1 = (center - mean) / sd, np.where(rows, scale / sd, 1.0)
-    out = coef[None, -1:]
-    for c in coef[-2::-1]:  # Horner's rule in t = t0 + t1 u, rounded as np.convolve
-        low, high = out * t0, out * t1
-        out = np.concatenate([low, high[:, -1:]], axis=1)
-        out[:, 1:-1] += high[:, :-1]
-        out[:, 0] += c
-    return np.where(rows, out, 0.0)
+    mean = np.where(rows, mass.mean.reshape(2, -1, 1), center)
+    sd = np.sqrt(np.where(rows, mass.var.reshape(2, -1, 1), 1.0))
+    t = np.concatenate([(center - mean) / sd, np.where(rows, scale / sd, 1.0)])
+    t0, t1 = np.vander(t.ravel(), 2 * k + 1, increasing=True).reshape(2, 2, -1, 2 * k + 1)
+    return np.where(rows, (t0 @ taylor) * t1, 0.0)
 
 
 def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
@@ -136,22 +136,25 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.nd
     if regular.any():
         narrow = var1 <= var2
         center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
-        p1, p2 = (_inverse_mass_poly(mass, i, center, scale, regular) for i in range(2))
-        cross, deg = c1.prior * p2 - c2.prior * p1, p1.shape[1] - 1
-        roots = [_real_roots(cross)]
+        p = _inverse_mass_poly(mass, center, scale, regular)
+        (p1, p2), deg = p, p.shape[-1] - 1
+        polys = c1.prior * p2 - c2.prior * p1  # the crossings
+        if deg > 2:  # and where each class peaks: P1', P2', zero-padded to the crossing's width
+            dp = np.zeros_like(p)
+            np.multiply(p[..., 1:], np.arange(1, deg + 1), out=dp[..., :-1])
+            polys = np.concatenate([polys[None], dp]).reshape(-1, deg + 1)
+        roots = list(_real_roots(polys).reshape(-1, len(p1), deg))
         if deg > 2:
             # the value at a crossing (a kink) inherits the root's error, and for
             # k >= 2 the composed polynomials carry more rounding than the maps:
             # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
-            u, order = roots[0], np.arange(1, deg + 1)
-            dp1, dp2 = (p[:, 1:] * order for p in (p1, p2))
+            u = roots[0]
             w1, w2 = (c.prior * m for c, m in zip(classes, mass(center + scale * u)))
             powers = np.vander(u.ravel(), deg + 1, increasing=True).reshape(*u.shape, deg + 1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                dlog1, dlog2 = ((powers[..., :-1] @ dp[..., None] / (powers @ p[..., None]))
-                                [..., 0] for p, dp in ((p1, dp1), (p2, dp2)))
-                roots.append(u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
-            roots += [_real_roots(dp1), _real_roots(dp2)]
+                dlog1, dlog2 = ((powers[..., :-1] @ dq[..., :-1, None] / (powers @ q[..., None]))
+                                [..., 0] for q, dq in zip(p, dp))
+                roots.insert(1, u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
         u = np.concatenate(roots, axis=1)
         d = np.where(np.isfinite(u), center + scale * u, np.nan)
         # one side of a crossing is steep: a neighbour can beat the rounded root

@@ -61,8 +61,9 @@ def _upper_rows(c1: ClassSpec, c2: ClassSpec, mass: SharedMass):
     gap = mu_hi - mu_lo
     inner = gap > 0.0
     sd_lo, sd_hi = np.sqrt(var_lo), np.sqrt(var_hi)
-    # equal means leave no interior threshold: unit 1 keeps their rows finite
-    unit = np.where(inner, np.maximum(np.maximum(gap, sd_lo), sd_hi), 1.0)
+    # equal means have no interior threshold: their sds keep the unused coefficients finite
+    unit = np.maximum(np.maximum(gap, sd_lo), sd_hi)
+    unit = np.where(unit > 0.0, unit, 1.0)
     # x: distance from the narrower class a toward b, in units that keep
     # every coefficient of order one and a's q_a^2 clear of g^2
     q_lo, q_hi, g = sd_lo / unit, sd_hi / unit, gap / unit

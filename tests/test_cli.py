@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,37 @@ def test_gaussian_baseline_of_a_narrow_or_far_class(argv, gaussian, tmp_path, ca
     assert got == pytest.approx(gaussian, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mu2", "0:0:1", "--sigma1sq", "1e300", "--sigma2sq", "1e-30"],
+    ["bound", [{"prior": 0.5, "moments": [0.0, 1e300]},
+               {"prior": 0.5, "moments": [1e-10, 1.0000000001e-20]}]],
+    ["bound", [{"prior": 0.5, "moments": [0.0, 1e-320]}, {"prior": 0.5, "moments": [0.0, 1e10]}]],
+    ["bound", [{"prior": 0.9, "moments": [5e-324, 5e-324]},
+               {"prior": 0.1, "moments": [-4.0, 18.0]}]],
+    ["bound", [{"prior": 0.5, "moments": [0.0, 1e300]}, {"prior": 0.5, "moments": [0.0, 1e-30]}]],
+    ["sweep", "--mu2", "0:0:1", "--sigma1sq", "1e300", "--sigma2sq", "1"],
+], ids=["sweep_log_ratio", "bound_log_ratio", "bound_subnormal_variance",
+        "bound_subnormal_mean", "bound_equal_means", "sweep_equal_means"])
+def test_variances_past_the_doubles_answer(argv, tmp_path, capsys):
+    # a variance ratio that underflows to 0, a 0.5 / sigma^2 that overflows, and
+    # upper-bound coefficients of equal means squared from a sd of 1e150: each
+    # answers without a warning. One class is narrower than the other by 1e20 or
+    # more where both have mass, so the Bayes error of the Gaussians is below 1e-12
+    if argv[0] == "bound":
+        argv = [argv[0], write_problem(tmp_path, argv[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    if argv[0] == "bound":
+        report = strict_json(out)
+        upper, got = report["upper"], report["gaussian"]
+    else:
+        upper, got = map(float, out.splitlines()[1].split(",")[3:])
+    assert got == pytest.approx(0.0, abs=1e-12)
+    assert math.isfinite(got) and got <= upper
+
+
 def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
     # (G - 1) / G for any G >= 2; one class is refused (test_usage_errors_exit_two)
     for G, ceiling in ((2, 0.5), (4, 0.75), (10, 0.9)):
@@ -544,7 +576,8 @@ def test_sweep_point_mass_row_value(capsys):
 
 def test_sweep_solves_roots_per_degree_not_per_row(monkeypatch, capsys):
     # the default sweep's 502 rows share a handful of eigenvalue calls, one
-    # per polynomial degree, not one or more per row
+    # per polynomial degree, not one or more per row; only the upper bound's
+    # quintics reach them, as the lower bound's quadratics have a closed form
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -557,3 +590,4 @@ def test_sweep_solves_roots_per_degree_not_per_row(monkeypatch, capsys):
     assert code == 0
     assert out == SWEEP_SNAPSHOT.read_text(encoding="utf-8")
     assert 1 <= len(calls) <= 6, calls
+    assert all(shape[1:] == (5, 5) for shape in calls), calls

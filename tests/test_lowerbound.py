@@ -15,7 +15,7 @@ from momentbounds import (
     InfeasibleSequenceError,
     lower_bound,
 )
-from momentbounds._search import GRID_POINTS, PASS_POINTS, _linspace, grid_golden_max
+from momentbounds._search import GRID_POINTS, PASS_POINTS, _linspace, _real_roots, grid_golden_max
 from momentbounds.lowerbound import (
     _objective_vec,
     optimal_shift_numeric,
@@ -443,6 +443,38 @@ def test_search_points_are_linspace_bit_for_bit(num):
                  for i, w in zip(rng.integers(-10**6, 10**6, 100), rng.integers(1, 10**4, 100))]
     for a, b in brackets:
         assert _linspace(a, b, num).tobytes() == np.linspace(a, b, num).tobytes(), (a, b)
+
+
+def test_real_roots_of_low_degree_match_numpy_roots():
+    # one batch, lowest coefficient first: degrees 1 and 2 are solved in closed
+    # form, 3 and 4 by eigenvalues, 0 marks a row of zeros (no roots)
+    rng = np.random.default_rng(2024)
+    degrees = [1, 2] * 250 + [3, 4] * 40 + [0] * 20
+    rows = np.zeros((len(degrees), 6))
+    for row, degree in zip(rows, degrees):
+        if degree:  # trailing zeros below, leading zeros above
+            low = rng.integers(0, 6 - degree)
+            row[low:low + degree + 1] = (rng.choice([-1.0, 1.0], degree + 1)
+                                         * 10.0 ** rng.uniform(-150.0, 150.0, degree + 1))
+    complex_pairs = 0
+    for degree, row, got in zip(degrees, rows, _real_roots(rows)):
+        if not degree:
+            assert np.isnan(got).all()
+            continue
+        low = row.nonzero()[0][0]
+        p = row[low:low + degree + 1][::-1]  # highest first
+        ref = np.roots(p)
+        # the eigenvalues are accurate to a few ulps of the largest root's modulus
+        tol = 8.0 * np.spacing(np.abs(ref).max())
+        np.testing.assert_allclose(np.sort(got[:degree]), np.sort(ref.real), rtol=0, atol=tol)
+        assert (got[degree:degree + low] == 0.0).all()  # the zero roots come after the others
+        assert np.isnan(got[degree + low:]).all()
+        if degree == 2 and np.iscomplex(ref).any():  # the real part -b / 2a, twice
+            complex_pairs += 1
+            assert got[0] == got[1] == pytest.approx(-p[1] / (2.0 * p[0]), rel=1e-15)
+        elif degree == 2:  # the small root too: the product of the roots is c / a
+            assert got[0] * got[1] == pytest.approx(p[2] / p[0], rel=1e-15)
+    assert complex_pairs > 50
 
 
 def test_two_moment_map_takes_the_class_units_where_the_gap_squared_overflows():
