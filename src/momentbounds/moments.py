@@ -89,14 +89,15 @@ class DiscreteMeasure:
 
     @classmethod
     def from_atoms(cls, pairs, merge_tol: float = 0.0) -> "DiscreteMeasure":
-        """Build a measure, merging atoms closer than ``merge_tol`` (absolute).
+        """Build a measure, merging atoms closer than ``merge_tol`` (relative).
 
-        Atoms within ``merge_tol`` of a group's first location join the group,
-        which is replaced by a single atom at its mass-weighted mean location
-        (kept within the group's span, which rounding could leave); zero-mass
-        entries are dropped.
+        Atoms within ``merge_tol`` times the largest |location| of a group's
+        first location join the group, which is replaced by a single atom at its
+        mass-weighted mean location (kept within the group's span, which
+        rounding could leave); zero-mass entries are dropped.
         """
         pairs = sorted((float(x), float(w)) for x, w in pairs if w != 0.0)
+        merge_tol *= max((abs(x) for x, _ in pairs), default=0.0)
         merged: list[list[float]] = []
         for x, w in pairs:
             if merged and x - anchor <= merge_tol:
@@ -424,8 +425,8 @@ def recover_atoms(seq, tol: float = DEFAULT_TOL) -> DiscreteMeasure:
 
 
 def moments_of(measure: DiscreteMeasure, n: int) -> list[float]:
-    """Raw moments g_0 .. g_n of a discrete measure, inf or NaN past the doubles."""
+    """Raw moments g_0 .. g_n of a discrete measure, inf or NaN past the doubles;
+    powers are products, exact under a 2^k rescaling (libm's pow is not)."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars: libm's pow, as floats'
-        return [float(sum(w * np.float64(x) ** j for x, w in measure.atoms)) for j in range(n + 1)]
+    return [float(sum(w * math.prod([x] * j) for x, w in measure.atoms)) for j in range(n + 1)]

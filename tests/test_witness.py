@@ -176,7 +176,7 @@ def test_verify_witness_near_coincident_means():
 
 # five equal-prior two-moment classes: at the attained shared masses one
 # residual's variance rounds to -2.3e-16, below its rounding band of 7.7e-17,
-# unless the two-moment epsilons are backed off like the others
+# so the witness must not recover atoms from that residual
 FIVE_CLASS_MOMENTS = [
     [-0.04283217512073763, 0.2360176057985537],
     [0.6520990826320815, 0.5664852365396975],
@@ -232,3 +232,84 @@ def test_verify_witness_certifies_three_and_four_moments(atoms1, atoms2, p1, n):
         classes.append(ClassSpec.from_moments(prior, moments_of(measure, n)[1:]))
     report = verify_witness(classes, n)
     assert report.certified, (report.moment_mismatch, report.bayes_error, report.bound)
+
+
+def test_witness_paper_problem_is_exact(tmp_path, capsys):
+    # the README problem: each class is its two-atom measure through the shared
+    # atom (1, 1/2), with no back-off, so the witness error equals the bound
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"classes": [{"prior": 0.5, "moments": [0.0, 1.0]},
+                                            {"prior": 0.5, "moments": [2.0, 5.0]}]}))
+    code = cli.main(["witness", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["measures"] == [[{"x": -1.0, "mass": 0.5}, {"x": 1.0, "mass": 0.5}],
+                                   [{"x": 1.0, "mass": 0.5}, {"x": 3.0, "mass": 0.5}]]
+    assert payload["report"]["bayes_error"] == 0.25
+    assert payload["report"]["certified"] is True
+
+
+def test_two_moment_witness_near_the_mean_keeps_its_far_mass():
+    # delta* = mu + 1e-5 sigma: 1 - eps is about 1e-10, where 1 - eps itself
+    # loses seven digits; the far atom at -1e5 carries the whole variance
+    classes = [make_class(0.5, 0.0, 1.0), make_class(0.5, 2e-5, 1.0)]
+    report = verify_witness(classes, 2)
+    assert report.bound.delta_star == pytest.approx(1e-5, rel=1e-9)
+    for c, m in zip(classes, report.measures):
+        assert len(m.atoms) == 2
+        np.testing.assert_allclose(moments_of(m, 2), c.moment_sequence(2), rtol=1e-12, atol=1e-12)
+    assert report.certified
+    assert report.bayes_error >= report.bound.value - 1e-15
+
+
+@st.composite
+def two_moment_problems(draw):
+    # wide offsets and scales, with point masses, equal means and classes whose
+    # mean is the shared location (eps = 1, not attained) among the draws
+    G = draw(st.integers(2, 5))
+    offset = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** draw(st.floats(-6, 6))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    same_mean = draw(st.booleans())
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=G, max_size=G))
+    classes = []
+    for w in weights:
+        mean = offset if same_mean else offset + scale * draw(st.floats(-3.0, 3.0))
+        var = (scale * draw(st.floats(0.1, 3.0))) ** 2 if draw(st.integers(0, 5)) else 0.0
+        classes.append((w / sum(weights), mean, mean * mean + var))
+    return classes
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(two_moment_problems())
+def test_two_moment_witness_certifies_over_wide_ranges(spec):
+    classes = [ClassSpec(p, g1, g2) for p, g1, g2 in spec]
+    report = verify_witness(classes, 2)
+    assert report.certified, (spec, report)
+    if all(e < 1.0 for e in report.bound.epsilons):
+        assert all(len(m.atoms) <= 2 for m in report.measures)
+        assert report.bayes_error >= report.bound.value - 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(two_moment_problems(), st.integers(-60, 60))
+def test_witness_does_not_depend_on_units(spec, k):
+    # a 2^k rescaling is exact in doubles, so it must scale every atom by 2^k
+    # and leave the error, the mismatch and the verdict as they are, bit for bit
+    f = 2.0 ** k
+    base = verify_witness([ClassSpec(p, g1, g2) for p, g1, g2 in spec], 2)
+    moved = verify_witness([ClassSpec(p, g1 * f, g2 * f * f) for p, g1, g2 in spec], 2)
+    assert [[(x * f, w) for x, w in m.atoms] for m in base.measures] == \
+        [list(m.atoms) for m in moved.measures]
+    assert (moved.bayes_error, moved.moment_mismatch, moved.certified) == \
+        (base.bayes_error, base.moment_mismatch, base.certified)
+
+
+@pytest.mark.parametrize("k", [-44, 44])
+def test_paper_problem_in_other_units(k):
+    # in units of 2^-44 an absolute merge rule and an absolute mismatch floor
+    # swallowed each support and let every tiny moment "match"
+    f = 2.0 ** k
+    report = verify_witness([ClassSpec(0.5, 0.0, f * f), ClassSpec(0.5, 2.0 * f, 5.0 * f * f)], 2)
+    assert [m.atoms for m in report.measures] == [((-f, 0.5), (f, 0.5)),
+                                                  ((f, 0.5), (3.0 * f, 0.5))]
+    assert (report.bayes_error, report.moment_mismatch, report.certified) == (0.25, 0.0, True)
