@@ -24,8 +24,9 @@ import numpy as np
 from . import moments as mm
 from .errors import InfeasibleSequenceError
 from .gaussian import GaussianPair, _bayes_error, gaussian_pair_bayes_error
-from .lowerbound import ClassSpec, _two_moment_mass, _two_moment_rows, lower_bound
-from .upperbound import _upper_rows, upper_bound
+from .lowerbound import ClassSpec, _checked_mass, _lower_from, _two_moment_mass, _two_moment_rows
+from .lowerbound import lower_bound  # noqa: F401 (bench/tracing.py wraps it by this name)
+from .upperbound import _upper_rows
 from .witness import verify_witness
 
 
@@ -144,7 +145,10 @@ def cmd_feasibility(args) -> int:
 
 
 def _bound_report(classes: list[ClassSpec], n_moments: int, tol: float) -> dict:
-    res = lower_bound(classes, n_moments, tol=tol)
+    """``lower_bound``, ``upper_bound`` and the Gaussian baseline of a problem,
+    with one shared-mass map for both bounds, as ``cmd_sweep`` builds it."""
+    mass = _checked_mass(classes, n_moments, tol)
+    res = _lower_from(classes, n_moments, mass)
     report = {
         "lower": res.value,
         "lower_attained": res.attained,
@@ -156,9 +160,11 @@ def _bound_report(classes: list[ClassSpec], n_moments: int, tol: float) -> dict:
         "trivial": (len(classes) - 1) / len(classes),  # the ceiling with no moments at all
     }
     if len(classes) == 2 and n_moments >= 2:
-        ub = upper_bound(classes[0], classes[1])
-        report["upper"] = ub.value
-        report["s_star"] = _json_number(ub.s_star)
+        # the map's means and variances are the two-moment map's
+        columns = (x.reshape(2, 1, 1) for x in (mass.mean, mass.var))
+        value, s_star, _ = _upper_rows(classes[0], classes[1], mm._two_moment_map(*columns))
+        report["upper"] = float(value[0, 0])
+        report["s_star"] = _json_number(float(s_star[0, 0]))
         if all(c.sigma2 > 0.0 for c in classes):
             pair = GaussianPair(mu1=classes[0].gamma1, mu2=classes[1].gamma1,
                                 sigma1sq=classes[0].sigma2, sigma2sq=classes[1].sigma2,

@@ -11,6 +11,7 @@ by a grid scan refined in batched bracket passes for three or more classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -116,14 +117,23 @@ def _inverse_mass_poly(mass: mm.SharedMass, center, scale, rows) -> np.ndarray:
     c = np.zeros((len(gram), 4 * k + 1))  # 0 past c_2k
     for j in range(k + 1):
         c[:, j:j + k + 1] += gram[:, j]
-    n, s = range(2 * k + 1), np.arange(2 * k + 1)
-    taylor = c[:, s[:, None] + s] * np.array([[math.comb(p + m, m) for m in n] for p in n])
+    s = np.arange(2 * k + 1)
+    taylor = c[:, s[:, None] + s] * _binomials(k)
     # the other rows' t is u: their own can overflow, or be 0 / 0 at a point mass
     mean = np.where(rows, mass.mean.reshape(2, -1, 1), center)
     sd = np.sqrt(np.where(rows, mass.var.reshape(2, -1, 1), 1.0))
     t = np.concatenate([(center - mean) / sd, np.where(rows, scale / sd, 1.0)])
     t0, t1 = np.vander(t.ravel(), 2 * k + 1, increasing=True).reshape(2, 2, -1, 2 * k + 1)
     return np.where(rows, (t0 @ taylor) * t1, 0.0)
+
+
+@functools.cache
+def _binomials(k: int) -> np.ndarray:
+    """The (2k + 1)^2 table C(p + m, m), p and m = 0 .. 2k, built once per k."""
+    n = range(2 * k + 1)
+    table = np.array([[math.comb(p + m, m) for m in n] for p in n], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
@@ -217,6 +227,12 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
     distribution.
     """
     classes = list(classes)
+    return _lower_from(classes, n_moments, _checked_mass(classes, n_moments, tol))
+
+
+def _checked_mass(classes: list[ClassSpec], n_moments: int, tol: float) -> mm.SharedMass | None:
+    """``lower_bound``'s checks, then the classes' shared-mass map (None for one
+    moment), each class's verdict and map from one frame."""
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     total = sum(c.prior for c in classes)
@@ -228,17 +244,23 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
         if c.n_moments < n_moments:
             raise ValueError(f"class {i} provides only {c.n_moments} moments")
     if n_moments == 1:
+        return None
+    verdicts, mass = mm._judged_mass([c.moment_sequence(n_moments) for c in classes], tol)
+    for i, verdict in enumerate(verdicts):
+        if not verdict.feasible:
+            raise InfeasibleSequenceError(
+                f"class {i} moment sequence is infeasible ({verdict.reason.value})")
+    return mass
+
+
+def _lower_from(classes: list[ClassSpec], n_moments: int, mass: mm.SharedMass | None):
+    """``lower_bound`` from ``_checked_mass``'s map."""
+    if n_moments == 1:
         # the means alone let the shared mass be pushed arbitrarily close to 1
         # (but not to 1): the supremum is 1 - max prior, never attained
         eps = tuple(1.0 for _ in classes)
         return LowerBoundResult(1.0 - max(c.prior for c in classes), 0.0, eps, False,
                                 BoundMethod.FIRST_MOMENT)
-    for i, c in enumerate(classes):
-        verdict = mm.is_feasible(c.moment_sequence(n_moments), tol)
-        if not verdict.feasible:
-            raise InfeasibleSequenceError(
-                f"class {i} moment sequence is infeasible ({verdict.reason.value})")
-    mass = mm.shared_mass([c.moment_sequence(n_moments) for c in classes], tol)
     if len(classes) == 2:
         delta = optimal_shift_two_class(classes[0], classes[1], mass)
         method = BoundMethod.CLOSED_FORM_G2

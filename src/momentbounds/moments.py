@@ -123,13 +123,24 @@ def _as_sequence(seq) -> np.ndarray:
     return arr
 
 
+#: the smallest normal double: below it rounding is absolute.
+_TINY = float(np.finfo(float).tiny)
+#: the tolerance of the shared-mass frames: the doubles' own rounding.
+_EPS = float(np.finfo(float).eps)
+
+
 class _Frame(NamedTuple):
     """A sequence divided by its mass, centred on its mean, scaled by its sd
     (0 when the variance is within its rounding or its n-th power underflows;
     ``t`` is then only centred). ``rank`` atoms pin the sequence, 0 if it is
     infeasible; ``inv_chol`` inverts the Cholesky factor of A(rank - 1), for
     an infeasible frame of A(r - 1) at the failed pivot r. ``pivot`` is the
-    last pivot examined and ``band`` tol times the rounding it carries."""
+    last pivot examined and ``band`` tol times the rounding it carries.
+    ``map_band`` is that pivot's band at machine epsilon in the frame of
+    g0 .. g2k, when that frame is this one with ``t`` cut to 2k + 1 entries: a
+    positive definite A(k) whose every pivot lies outside both bands. It is None
+    where the two tolerances would branch differently, and that frame needs its
+    own pass."""
 
     mean: float
     sd: float
@@ -138,6 +149,13 @@ class _Frame(NamedTuple):
     rank: int
     pivot: float
     band: float
+    map_band: float | None
+
+
+def _frame_sd(c: np.ndarray, b: np.ndarray, size: int) -> float:
+    """sqrt |c2| beyond its band b2; 0 within it, or where t would overflow."""
+    sd = math.sqrt(abs(c[2])) if size > 2 and abs(c[2]) > b[2] else 0.0
+    return sd if sd >= _TINY ** (1.0 / max(size - 1, 1)) else 0.0
 
 
 def _standardize(g: np.ndarray, tol: float) -> _Frame:
@@ -154,42 +172,61 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
     continues and a non-positive one makes the sequence infeasible. A
     positive last pivot is never taken for singular: a positive definite
     A(k) is feasible, and its (k+1)-point rule exact.
+
+    Tol enters only as a factor: of the sd cut, of each pivot's band and of
+    the Gauss test. So the same pass also judges g0 .. g2k at machine epsilon,
+    the frame ``shared_mass`` reads (``map_band``), wherever the two take the
+    same branch. That frame's products are formed on its 2k + 1 entries alone:
+    BLAS may round a longer product differently.
     """
-    j = np.arange(g.size)
+    size = g.size
+    k = (size - 1) // 2
+    m = 2 * k + 1
+    j = np.arange(size)
     with np.errstate(over="ignore", invalid="ignore"):  # a t past the doubles is refused below
         h = g / g[0]
-        mean = float(h[1]) if h.size > 1 else 0.0
-        shift = _shift_matrix(h.size, mean)
-        ah = np.abs(h) + np.finfo(float).tiny  # below the normal range rounding is absolute
-        c, b = shift @ h, tol * (np.abs(shift) @ ah)
-        sd = math.sqrt(abs(c[2])) if h.size > 2 and abs(c[2]) > b[2] else 0.0
-        if sd < np.finfo(float).tiny ** (1.0 / max(h.size - 1, 1)):  # t would overflow
-            sd = 0.0
+        mean = float(h[1]) if size > 1 else 0.0
+        shift = _shift_matrix(size, mean)
+        ah = np.abs(h) + _TINY  # below the normal range rounding is absolute
+        c, unit = shift @ h, np.abs(shift) @ ah
+        cm, unit_m = ((shift[:m, :m] @ h[:m], np.abs(shift[:m, :m]) @ ah[:m]) if m < size
+                      else (c, unit))
+        b = tol * unit
+        sd = _frame_sd(c, b, size)
+        shared = _frame_sd(cm, _EPS * unit_m, m) == sd and (cm is c or (cm == c[:m]).all())
         scale = (sd or 1.0) ** j  # sd^j past the doubles: t_j = 0, and |t_j| < 1 there
         shift /= scale[:, None]
         t, err = c / scale, b / scale
     if sd:
         t[2] = math.copysign(1.0, c[2])
-    k = (h.size - 1) // 2
-    if not np.isfinite(t[:2 * k + 1]).all():  # feasible ones overflow only near 1e308: NOT_PSD
-        return _Frame(mean, sd, t, np.eye(1), 0, -math.inf, 0.0)
+    if not np.isfinite(t[:m]).all():  # feasible ones overflow only near 1e308: NOT_PSD
+        return _Frame(mean, sd, t, np.eye(1), 0, -math.inf, 0.0, None)
     inv = np.eye(k + 1)  # t0 = 1
-    pivot, band = math.inf, 0.0
+    ortho = np.ones(k + 1)  # pi_r, monic, in its first r + 1 entries
+    pivot, band, map_band = math.inf, 0.0, 0.0 if shared else None
     for r in range(1, k + 1):
         row = inv[:r, :r] @ t[r:2 * r]
         pivot = t[2 * r] - row @ row
-        ortho = np.append(-row @ inv[:r, :r], 1.0)  # pi_r
-        band = tol * np.abs(np.convolve(ortho, ortho) @ shift[:2 * r + 1]) @ ah
+        ortho[:r] = -row @ inv[:r, :r]
+        square = np.convolve(ortho[:r + 1], ortho[:r + 1])
+        coef = np.abs(square @ shift[:2 * r + 1])
+        band = (tol * coef) @ ah
+        if map_band is not None:
+            if m < size:
+                coef = np.abs(square @ shift[:2 * r + 1, :m])
+            map_band = (_EPS * coef) @ ah[:m]
+            if -map_band <= pivot <= (0.0 if r == k else map_band):
+                map_band = None  # the map's frame runs a Gauss test of its own
         if -band <= pivot <= (0.0 if r == k else band):
             x, w = _gauss(t, inv[:r, :r])
             powers = x[:, None] ** j[2 * r + 1:]
             if np.all(np.abs(w @ powers - t[2 * r + 1:])
                       <= err[2 * r + 1:] + tol * (w @ np.abs(powers))):
-                return _Frame(mean, sd, t, inv[:r, :r], r, pivot, band)
+                return _Frame(mean, sd, t, inv[:r, :r], r, pivot, band, None)
         if pivot <= 0.0:
-            return _Frame(mean, sd, t, inv[:r, :r], 0, pivot, band)
-        inv[r, :r + 1] = ortho / math.sqrt(pivot)
-    return _Frame(mean, sd, t, inv, k + 1, pivot, band)
+            return _Frame(mean, sd, t, inv[:r, :r], 0, pivot, band, None)
+        inv[r, :r + 1] = ortho[:r + 1] / math.sqrt(pivot)
+    return _Frame(mean, sd, t, inv, k + 1, pivot, band, map_band)
 
 
 def _gauss(t: np.ndarray, inv_chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,14 +267,18 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     and that pivot (k + 1 for NOT_PSD). A sequence without mass has no frame
     and reports the rank of its raw A(k).
     """
-    g = _as_sequence(seq)
+    return _judge(_as_sequence(seq), tol)[0]
+
+
+def _judge(g: np.ndarray, tol: float) -> tuple[FeasibilityVerdict, _Frame | None]:
+    """``is_feasible`` of a checked sequence, and for k >= 2 the frame it read."""
     n = g.size - 1
     k = n // 2
     if g[0] <= 0.0:
         reason = FeasibilityReason.BAD_ZEROTH if g[0] < 0.0 else FeasibilityReason.RANK_MISMATCH
         idx = np.arange(k + 1)
         return FeasibilityVerdict(False, reason,
-                                  int(np.linalg.matrix_rank(g[idx[:, None] + idx])), k + 1)
+                                  int(np.linalg.matrix_rank(g[idx[:, None] + idx])), k + 1), None
     if k == 1:  # the variance, then a point mass's third moment, on floats (numpy
         # costs about four times as much per call), in units 2^e that keep 4 |mean|^3
         # finite: e from g1's and g0's exponents (g1 / g0 can overflow), 0 for g1 = 0
@@ -246,21 +287,21 @@ def is_feasible(seq, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
         mean, h2, *h3 = [math.ldexp(v, -j * e) / g0 for j, v in enumerate(g.tolist()) if j]
         var = h2 - mean * mean
         if var < -tol * (3.0 * mean * mean + abs(h2)):
-            return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2)
+            return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, 2, 2), None
         if var > 0.0:
-            return FeasibilityVerdict(True, FeasibilityReason.OK, 2, 2)
+            return FeasibilityVerdict(True, FeasibilityReason.OK, 2, 2), None
         point = n == 2 or abs(h3[0] - 3.0 * mean * h2 + 2.0 * mean ** 3) <= tol * (
             abs(h3[0]) + 3.0 * abs(mean * h2) + 4.0 * abs(mean) ** 3)
         return FeasibilityVerdict(point, FeasibilityReason.OK if point
-                                  else FeasibilityReason.RANGE_FAILURE, 1, 1)
+                                  else FeasibilityReason.RANGE_FAILURE, 1, 1), None
     fr = _standardize(g, tol)
     if fr.rank:
-        return FeasibilityVerdict(True, FeasibilityReason.OK, fr.rank, fr.rank)
+        return FeasibilityVerdict(True, FeasibilityReason.OK, fr.rank, fr.rank), fr
     r = fr.inv_chol.shape[0]
     if fr.pivot < -fr.band:
-        return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, r + 1, k + 1)
+        return FeasibilityVerdict(False, FeasibilityReason.NOT_PSD, r + 1, k + 1), fr
     reason = FeasibilityReason.RANGE_FAILURE if n % 2 else FeasibilityReason.RANK_MISMATCH
-    return FeasibilityVerdict(False, reason, r, r)
+    return FeasibilityVerdict(False, reason, r, r), fr
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,39 +369,75 @@ def shared_mass(seq, tol: float = DEFAULT_TOL) -> SharedMass:
     arr = np.asarray(seq, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("moments must be finite")
+    return _shared_mass(arr, tol, None)
+
+
+def _judged_mass(seq, tol: float) -> tuple[list[FeasibilityVerdict], SharedMass | None]:
+    """The ``is_feasible`` verdicts of the sequences, in order up to the first
+    infeasible one, and when all are feasible their ``shared_mass`` map, both
+    from one frame per sequence (``_Frame.map_band``). ``seq`` is one sequence
+    or an array of them."""
+    arr = np.asarray(seq, dtype=float)
+    verdicts, frames = [], []
+    for g in arr.reshape(-1, arr.shape[-1]):
+        verdict, fr = _judge(_as_sequence(g), tol)
+        verdicts.append(verdict)
+        if not verdict.feasible:
+            return verdicts, None
+        frames.append(fr)
+    return verdicts, _shared_mass(arr, tol, frames)
+
+
+def _two_moment_map(mean: np.ndarray, var: np.ndarray) -> SharedMass:
+    """The two-moment map of columns of means and variances: a point mass's
+    atom is its mean."""
+    point = var == 0.0  # a point mass shares mass only at its mean
+    atoms = (np.where(point, mean, np.nan), np.where(point, 1.0, np.nan))
+    return SharedMass(mean, var, atoms=(atoms,) if point.any() else ())
+
+
+def _shared_mass(arr: np.ndarray, tol: float, frames) -> SharedMass:
+    """``shared_mass`` of checked sequences. ``frames``, when given, holds each
+    sequence's frame from its verdict (``_judge``)."""
     if arr.ndim == 0 or arr.shape[-1] < 3:
         raise ValueError("need at least the first and second moments")
     shape = arr.shape[:-1] + (1,) if arr.ndim > 1 else ()
     mean = arr[..., 1].reshape(shape).copy()
     with np.errstate(over="ignore"):  # g1^2 beyond g2: a point mass, as in floats
         var = np.maximum(arr[..., 2].reshape(shape) - mean * mean, 0.0)
-    point = var == 0.0  # a point mass shares mass only at its mean
     if arr.shape[-1] < 5:  # k = 1
-        atoms = (np.where(point, mean, np.nan), np.where(point, 1.0, np.nan))
-        return SharedMass(mean, var, atoms=(atoms,) if point.any() else ())
-    inv, atoms = zip(*(_sequence_mass(g, p, tol) for g, p in
-                       zip(arr.reshape(-1, arr.shape[-1]), point.ravel().tolist())))
+        return _two_moment_map(mean, var)
+    rows = arr.reshape(-1, arr.shape[-1])
+    inv, atoms = zip(*(_sequence_mass(g, p, tol, fr) for g, p, fr in
+                       zip(rows, (var == 0.0).ravel().tolist(), frames or [None] * len(rows))))
     pad = [a + [(math.nan, math.nan)] * (max(map(len, atoms)) - len(a)) for a in atoms]
     return SharedMass(mean, var, np.array(inv).reshape(shape[:-1] + inv[0].shape),
                       tuple(tuple(np.array(col).reshape(shape) for col in zip(*row))
                             for row in zip(*pad)))
 
 
-def _sequence_mass(g: np.ndarray, point: bool, tol: float):
-    """L^-1 (I if pinned) and atoms of one sequence with k >= 2."""
+def _sequence_mass(g: np.ndarray, point: bool, tol: float, fr: _Frame | None):
+    """L^-1 (I if pinned) and atoms of one sequence with k >= 2, from the frame
+    of g0 .. g2k at machine epsilon: ``fr``'s where its ``map_band`` says it holds
+    that frame, else a pass of its own."""
     k = (g.size - 1) // 2
     if point:
         return np.eye(k + 1), [(float(g[1]), 1.0)]
-    fr = _standardize(g[:2 * k + 1], float(np.finfo(float).eps))
+    if fr is None or fr.map_band is None:
+        fr = _standardize(g[:2 * k + 1], _EPS)
+        band = fr.band
+    else:
+        band = fr.map_band
+    t = fr.t[:2 * k + 1]
     q = fr.inv_chol[-1]  # pi_k / sqrt(pivot) when A(k) is positive definite
-    if fr.sd and fr.pivot > fr.band and tol * np.abs(np.convolve(q, q)) @ np.abs(fr.t) < 1.0:
+    if fr.sd and fr.pivot > band and tol * np.abs(np.convolve(q, q)) @ np.abs(t) < 1.0:
         inv = fr.inv_chol.copy()
-        inv[-1] *= math.sqrt(fr.pivot / (fr.pivot - fr.band))
+        inv[-1] *= math.sqrt(fr.pivot / (fr.pivot - band))
         return inv, []
     # singular, or infeasible beyond the rounding where the verdict's tol
     # forgives it: share mass at the Gauss atoms only, at most k
     r = min(fr.inv_chol.shape[0], k)
-    x, w = _gauss(fr.t, fr.inv_chol[:r, :r])
+    x, w = _gauss(t, fr.inv_chol[:r, :r])
     return np.eye(k + 1), [(fr.mean + (fr.sd or 1.0) * float(a), float(m)) for a, m in zip(x, w)]
 
 
@@ -377,11 +454,10 @@ def max_shared_mass(seq, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     g = _as_sequence(seq)
     if abs(g[0] - 1.0) > 1e-12:
         raise ValueError("shared-mass query expects a probability sequence (g0 = 1)")
-    full = is_feasible(g, tol)
+    (full,), mass = _judged_mass(g, tol)
     if not full.feasible:
         raise InfeasibleSequenceError(
             f"moment sequence is itself infeasible ({full.reason.value})")
-    mass = shared_mass(g, tol)
     return float(mass(0.0)), bool(mass.var == 0.0 or (g.size == 3 and g[1] != 0.0))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -12,12 +13,15 @@ from hypothesis import strategies as st
 
 from momentbounds import (
     ClassSpec,
+    DiscreteMeasure,
     GaussianPair,
+    InfeasibleSequenceError,
     cli,
     gaussian_pair_bayes_error,
     lower_bound,
     upper_bound,
 )
+from momentbounds import lowerbound, upperbound
 from momentbounds import moments as mm
 from momentbounds.gaussian import normal_cdf
 from momentbounds.lowerbound import _two_moment_mass, _two_moment_rows
@@ -591,3 +595,67 @@ def test_sweep_solves_roots_per_degree_not_per_row(monkeypatch, capsys):
     assert out == SWEEP_SNAPSHOT.read_text(encoding="utf-8")
     assert 1 <= len(calls) <= 6, calls
     assert all(shape[1:] == (5, 5) for shape in calls), calls
+
+
+def public_report(classes, n_moments, tol):
+    """The ``bound`` report from ``lower_bound``, ``upper_bound`` and
+    ``gaussian_pair_bayes_error``, each called on its own."""
+    res = lower_bound(classes, n_moments, tol)
+    report = {"lower": res.value, "lower_attained": res.attained, "delta_star": res.delta_star,
+              "epsilons": list(res.epsilons), "upper": None, "s_star": None, "gaussian": None,
+              "trivial": (len(classes) - 1) / len(classes)}
+    if len(classes) == 2 and n_moments >= 2:
+        ub = upper_bound(*classes)
+        report["upper"] = ub.value
+        report["s_star"] = ub.s_star if math.isfinite(ub.s_star) else None
+        if all(c.sigma2 > 0.0 for c in classes):
+            report["gaussian"] = gaussian_pair_bayes_error(GaussianPair(
+                mu1=classes[0].gamma1, mu2=classes[1].gamma1, sigma1sq=classes[0].sigma2,
+                sigma2sq=classes[1].sigma2, p1=classes[0].prior, p2=classes[1].prior))
+    return report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bound_report_is_the_public_path(n):
+    # one shared-mass map serves both bounds in the report; the public
+    # functions each build their own. Regular classes, point masses and
+    # classes of at most k atoms (singular for n >= 4), at offsets and scales
+    rng = np.random.default_rng(600 + n)
+    kinds = {"regular": (n // 2 + 1, 7), "point": (1, 1), "singular": (max(n // 2, 1), n // 2 + 1)}
+    for _ in range(40):
+        classes = []
+        prior = float(rng.uniform(0.1, 0.9))
+        for p in (prior, 1.0 - prior):
+            lo, hi = kinds[rng.choice(list(kinds))]
+            size = int(rng.integers(lo, hi + 1))
+            spread = 10.0 ** rng.uniform(-2.0, 2.0) * rng.uniform(-1.0, 1.0, size)
+            x = rng.uniform(-10.0, 10.0) + spread
+            measure = DiscreteMeasure.from_atoms(zip(x, rng.dirichlet(np.ones(size))))
+            classes.append(ClassSpec.from_moments(p, mm.moments_of(measure, n)[1:]))
+        tol = float(rng.choice([1e-9, 1e-6]))
+        try:
+            expected = public_report(classes, n, tol)
+        except InfeasibleSequenceError as exc:
+            with pytest.raises(InfeasibleSequenceError, match=re.escape(str(exc))):
+                cli._bound_report(classes, n, tol)
+        else:
+            assert cli._bound_report(classes, n, tol) == expected
+
+
+def test_bound_standardizes_each_class_once(tmp_path, capsys, monkeypatch):
+    # an n = 5 bound on two eight-atom classes: one frame per class gives its
+    # verdict and its shared-mass map, and the upper bound reads that map
+    passes = []
+    standardize = mm._standardize
+    monkeypatch.setattr(mm, "_standardize",
+                        lambda g, tol: passes.append(g.size) or standardize(g, tol))
+    for module in (cli, lowerbound, upperbound):
+        monkeypatch.setattr(module, "_two_moment_mass", None)
+    classes = []
+    for prior, step, start in ((0.4, 1.0, 0.0), (0.6, 2.0, 3.0)):
+        measure = DiscreteMeasure(tuple((start + step * i, w) for i, w in
+                                        enumerate((0.1, 0.15, 0.1, 0.2, 0.1, 0.15, 0.1, 0.1))))
+        classes.append({"prior": prior, "moments": mm.moments_of(measure, 5)[1:]})
+    code, out, _ = run(["bound", write_problem(tmp_path, classes)], capsys)
+    assert code == 0 and json.loads(out)["upper"] is not None
+    assert passes == [6, 6]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from momentbounds import ClassSpec, DiscreteMeasure, InfeasibleSequenceError
+from momentbounds import moments as mm
 from momentbounds.moments import (
     FeasibilityReason,
     is_feasible,
@@ -486,3 +487,62 @@ def test_discrete_measure_validation():
     ulp_apart = DiscreteMeasure.from_atoms([(lo, 0.25 / 2.9375), (hi, 0.5 / 2.9375),
                                             (hi, 0.8125 / 2.9375)])
     assert [x for x, _ in ulp_apart.atoms] == [lo, hi]
+
+
+def same_map(a, b):
+    """Two k >= 2 shared-mass maps, equal bit for bit."""
+    def parts(m):
+        return [m.mean, m.var, m.inv_chol] + [col for atom in m.atoms for col in atom]
+    return len(a.atoms) == len(b.atoms) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(parts(a), parts(b)))
+
+
+# one standardization per sequence gives the verdict at tol and the map at
+# machine epsilon where the two branch alike, and a second pass gives the map
+# where they do not: either way they are those of two separate passes. A
+# nudged g_2k leaves k atoms or fewer near singular
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(unit_atoms, st.integers(4, 8), st.floats(-3.0, 6.0), st.floats(-6.0, 6.0), st.booleans(),
+       st.sampled_from([1e-12, 1e-9, 1e-6]),
+       st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6]))
+def test_one_frame_gives_what_two_passes_give(atoms, n, log_offset, log_scale, left, tol, nudge):
+    total = sum(w for _, w in atoms)
+    offset = (-1.0 if left else 1.0) * 10.0 ** log_offset
+    measure = DiscreteMeasure.from_atoms((offset + 10.0 ** log_scale * z, w / total)
+                                         for z, w in atoms)
+    seq = moments_of(measure, n)
+    seq[2 * (n // 2)] *= 1.0 + nudge
+    (verdict,), mass = mm._judged_mass(seq, tol)
+    assert verdict == is_feasible(seq, tol)
+    if verdict.feasible:
+        assert same_map(mass, shared_mass(seq, tol))
+    else:
+        assert mass is None
+
+
+@pytest.mark.parametrize("seq, tol, atoms", [
+    # regular classes: the one pass gives the verdict and the map
+    ([1.0, 0.0, 1.0, 0.0, 3.0], 1e-9, None),
+    ([1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0], 1e-9, None),
+    # the last pivot, -1e-8, lies inside the band at tol but outside machine
+    # epsilon's: feasible with two atoms, and the map's frame is infeasible
+    ([1.0, 0.0, 1.0, 0.0, 0.99999999], 1e-6, [-1.0, 1.0]),
+    # sd = 1e-70: its fifth power underflows, its fourth does not, so the
+    # verdict's frame is only centred and the map's is scaled
+    ([1.0, 0.0, 1e-140, 0.0, 1e-280, 0.0], 1e-9, [-1e-70, 1e-70]),
+    # at tol 0 A(3) is positive definite, but the second pivot, 4.4e-16, lies
+    # inside machine epsilon's band: the map shares mass at two atoms only
+    ([1.0, 5.508901980575067e-07, 1.57360819599633e-12, 2.9477443275545442e-18,
+      5.8853271393494774e-24, 1.1620144627409239e-29, 2.298688914287715e-35], 0.0,
+     [-3.39334314e-07, 1.97764061e-06]),
+], ids=["n4", "n6", "tol_band", "overflow_guard", "eps_band"])
+def test_a_second_pass_only_where_the_tolerances_branch_apart(seq, tol, atoms, monkeypatch):
+    passes = []
+    standardize = mm._standardize
+    monkeypatch.setattr(mm, "_standardize",
+                        lambda g, tol: passes.append(tol) or standardize(g, tol))
+    (verdict,), mass = mm._judged_mass(seq, tol)
+    assert verdict.feasible and passes == ([tol] if atoms is None else [tol, mm._EPS])
+    assert same_map(mass, shared_mass(seq, tol))
+    if atoms is not None:
+        np.testing.assert_allclose([x for x, _ in mass.atoms], atoms, rtol=1e-8)
