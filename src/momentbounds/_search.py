@@ -88,13 +88,6 @@ def _linspace(a: float, b: float, num: int) -> np.ndarray:
     return xs
 
 
-def _columns(*values) -> list[np.ndarray]:
-    """The values (floats or columns) as (rows, 1) columns of one length."""
-    cols = [np.asarray(v, dtype=float).reshape(-1, 1) for v in values]
-    rows = max(len(c) for c in cols)
-    return [c if len(c) == rows else c.repeat(rows, axis=0) for c in cols]
-
-
 def _real_roots(coef: np.ndarray) -> np.ndarray:
     """Real parts of the roots of each row's polynomial, NaN-padded.
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import moments as mm
 from .errors import InfeasibleSequenceError
-from .gaussian import GaussianPair, _bayes_error, gaussian_pair_bayes_error
-from .lowerbound import ClassSpec, _checked_mass, _lower_from, _two_moment_mass, _two_moment_rows
+from .gaussian import _bayes_error
+from .lowerbound import ClassSpec, _checked_mass, _lower_from, _two_class_rows
 from .lowerbound import lower_bound  # noqa: F401 (bench/tracing.py wraps it by this name)
 from .upperbound import _upper_rows
 from .witness import verify_witness
@@ -53,6 +53,10 @@ def _parse_number_list(text: str) -> list[float]:
     return values
 
 
+#: the most points a FROM:TO:STEP grid may have (a step typo can ask for 1e10)
+_MAX_RANGE_POINTS = 10 ** 6
+
+
 def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -66,7 +70,11 @@ def _parse_range(text: str) -> list[float]:
     span = (stop - start) / step + 1e-9
     if not all(map(math.isfinite, (start, stop, step, span))):
         raise argparse.ArgumentTypeError(f"range and point count must be finite, got {text!r}")
-    return [start + i * step for i in range(int(span) + 1)]
+    count = int(span) + 1
+    if count > _MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {count} points, more than {_MAX_RANGE_POINTS}")
+    return [start + i * step for i in range(count)]
 
 
 @functools.cache
@@ -145,8 +153,8 @@ def cmd_feasibility(args) -> int:
 
 
 def _bound_report(classes: list[ClassSpec], n_moments: int, tol: float) -> dict:
-    """``lower_bound``, ``upper_bound`` and the Gaussian baseline of a problem,
-    with one shared-mass map for both bounds, as ``cmd_sweep`` builds it."""
+    """``lower_bound``, ``upper_bound`` and the Gaussian baseline of a problem, as
+    ``cmd_sweep`` has them: one map for both bounds, priors and variances checked."""
     mass = _checked_mass(classes, n_moments, tol)
     res = _lower_from(classes, n_moments, mass)
     report = {
@@ -160,16 +168,13 @@ def _bound_report(classes: list[ClassSpec], n_moments: int, tol: float) -> dict:
         "trivial": (len(classes) - 1) / len(classes),  # the ceiling with no moments at all
     }
     if len(classes) == 2 and n_moments >= 2:
-        # the map's means and variances are the two-moment map's
-        columns = (x.reshape(2, 1, 1) for x in (mass.mean, mass.var))
-        value, s_star, _ = _upper_rows(classes[0], classes[1], mm._two_moment_map(*columns))
+        c1, c2 = classes
+        value, s_star, _ = _upper_rows((c1.prior, c2.prior), mass)
         report["upper"] = float(value[0, 0])
         report["s_star"] = _json_number(float(s_star[0, 0]))
-        if all(c.sigma2 > 0.0 for c in classes):
-            pair = GaussianPair(mu1=classes[0].gamma1, mu2=classes[1].gamma1,
-                                sigma1sq=classes[0].sigma2, sigma2sq=classes[1].sigma2,
-                                p1=classes[0].prior, p2=classes[1].prior)
-            report["gaussian"] = gaussian_pair_bayes_error(pair)
+        if c1.sigma2 > 0.0 and c2.sigma2 > 0.0:
+            report["gaussian"] = _bayes_error(c1.gamma1, c2.gamma1, c1.sigma2, c2.sigma2,
+                                              c1.prior, c2.prior)
     _check_report(report)
     return report
 
@@ -203,13 +208,15 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs exactly two priors summing to 1")
     if args.sigma1sq <= 0.0 or any(v <= 0.0 for v in args.sigma2sq):
         raise ValueError("sweep variances must be positive")
-    s2sq = np.repeat(args.sigma2sq, len(args.mu2)).reshape(-1, 1)
-    mu2 = np.tile(args.mu2, len(args.sigma2sq)).reshape(-1, 1)
-    c1 = ClassSpec(priors[0], 0.0, args.sigma1sq)
-    with np.errstate(over="ignore"):  # refused below as a non-finite moment
-        c2 = ClassSpec(priors[1], mu2, mu2 * mu2 + s2sq)
-    mass = _two_moment_mass(c1, c2)
-    low, up = _two_moment_rows(c1, c2, mass), _upper_rows(c1, c2, mass)[0]
+    if bad := [p for p in priors if not 0.0 < p < 1.0]:
+        raise ValueError(f"prior must lie in (0, 1), got {bad[0]}")
+    s2sq = np.repeat(args.sigma2sq, len(args.mu2))
+    mu2 = np.tile(args.mu2, len(args.sigma2sq))
+    with np.errstate(over="ignore"):  # refused by shared_mass as a non-finite moment
+        seq = np.stack([np.broadcast_to([1.0, 0.0, args.sigma1sq], (len(mu2), 3)),
+                        np.stack([np.ones_like(mu2), mu2, mu2 * mu2 + s2sq], axis=-1)])
+    mass = mm.shared_mass(seq)
+    low, up = _two_class_rows(priors, mass)[3], _upper_rows(priors, mass)[0]
     lines = ["mu2,sigma2sq,lower,upper,gaussian"]
     for m, v, lo, hi in zip(*(a.ravel().tolist() for a in (mu2, s2sq, low, up))):
         gauss = _bayes_error(0.0, m, args.sigma1sq, v, *priors)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import moments as mm
-from ._search import _columns, _real_roots, grid_golden_max
+from ._search import _real_roots, grid_golden_max
 from .errors import InfeasibleSequenceError
 
 _PRIOR_SUM_TOL = 1e-12
@@ -37,8 +37,7 @@ class ClassSpec:
 
     ``gamma2`` may be omitted for problems that only pin the first moments.
     ``higher`` holds gamma3 onward. Feasibility of the class's own sequence is
-    checked where it matters (``lower_bound``), not at construction. The
-    batched two-moment paths take (rows, 1) columns as gamma1 and gamma2.
+    checked where it matters (``lower_bound``), not at construction.
     """
 
     prior: float
@@ -95,11 +94,10 @@ class LowerBoundResult:
     method: BoundMethod
 
 
-def _objective_vec(classes, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
+def _objective_vec(priors, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
     """sum - max over the class axis of p_i eps_i(delta) at each delta, eps
-    from ``mass``, the classes' shared-mass map."""
-    priors = np.array([c.prior for c in classes]).reshape((-1,) + (1,) * (mass.mean.ndim - 1))
-    w = mass(deltas, priors)
+    from ``mass``, the classes' shared-mass map, p from ``priors``."""
+    w = mass(deltas, np.array(priors).reshape((-1,) + (1,) * (mass.mean.ndim - 1)))
     vals = np.add.reduce(w, 0)  # adds the class rows in order
     vals -= np.maximum.reduce(w, 0)
     return vals
@@ -136,11 +134,10 @@ def _binomials(k: int) -> np.ndarray:
     return table
 
 
-def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
+def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
     """``optimal_shift_two_class`` for each row of two classes: a column."""
-    classes = [c1, c2]
-    mean1, mean2, var1, var2, *atoms = _columns(*mass.mean, *mass.var,
-                                                *(x[i] for i in range(2) for x, _ in mass.atoms))
+    mean1, mean2, var1, var2, *atoms = (c.reshape(-1, 1) for c in (
+        *mass.mean, *mass.var, *(x[i] for i in range(2) for x, _ in mass.atoms)))
     cands = [mean1, mean2] + atoms
     regular = ~np.isfinite(atoms).any(0)  # a pinned class shares mass only at its atoms
     if regular.any():
@@ -148,7 +145,7 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.nd
         center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
         p = _inverse_mass_poly(mass, center, scale, regular)
         (p1, p2), deg = p, p.shape[-1] - 1
-        polys = c1.prior * p2 - c2.prior * p1  # the crossings
+        polys = priors[0] * p2 - priors[1] * p1  # the crossings
         if deg > 2:  # and where each class peaks: P1', P2', zero-padded to the crossing's width
             dp = np.zeros_like(p)
             np.multiply(p[..., 1:], np.arange(1, deg + 1), out=dp[..., :-1])
@@ -159,7 +156,7 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.nd
             # k >= 2 the composed polynomials carry more rounding than the maps:
             # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
             u = roots[0]
-            w1, w2 = (c.prior * m for c, m in zip(classes, mass(center + scale * u)))
+            w1, w2 = (p * m for p, m in zip(priors, mass(center + scale * u)))
             powers = np.vander(u.ravel(), deg + 1, increasing=True).reshape(*u.shape, deg + 1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 dlog1, dlog2 = ((powers[..., :-1] @ dq[..., :-1, None] / (powers @ q[..., None]))
@@ -170,7 +167,7 @@ def _shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.nd
         # one side of a crossing is steep: a neighbour can beat the rounded root
         cands += [d, np.nextafter(d, math.inf), np.nextafter(d, -math.inf)]
     cands = np.concatenate(cands, axis=1)
-    vals = _objective_vec(classes, cands, mass).reshape(cands.shape)
+    vals = _objective_vec(priors, cands, mass).reshape(cands.shape)
     vals[np.isnan(cands)] = -np.inf
     return cands[np.arange(len(cands)), vals.argmax(axis=1)][:, None]
 
@@ -185,7 +182,16 @@ def optimal_shift_two_class(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -
     of the narrower class) and their neighbours one ulp away join the means
     and the atoms of pinned classes as candidates; the best one is returned.
     """
-    return float(_shift_two_class(c1, c2, mass)[0, 0])
+    return float(_shift_two_class((c1.prior, c2.prior), mass)[0, 0])
+
+
+def _two_class_rows(priors, mass: mm.SharedMass):
+    """The shift, both shared masses there and the bound min(p1 eps1, p2 eps2),
+    sum - max for two classes, as four columns, one row per problem of ``mass``,
+    a two-class map; the callers have checked the priors and the classes."""
+    delta = _shift_two_class(priors, mass)
+    eps1, eps2 = mass(delta).reshape(2, -1, 1)  # a map of one problem has no row axis
+    return delta, eps1, eps2, np.minimum(priors[0] * eps1, priors[1] * eps2)
 
 
 def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
@@ -199,18 +205,18 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     longer shrinks in doubles (``_search.grid_golden_max``), so the result
     scales with the problem's units. If every class is a point mass the
     candidates are all there is."""
-    classes = list(classes)
-    if len(classes) < 2:
+    priors = [c.prior for c in classes]
+    if len(priors) < 2:
         raise ValueError("need at least two classes")
     means = mass.mean.ravel().tolist()
     atoms = np.ravel([x for x, _ in mass.atoms], order="F")  # class by class
     cands = means + atoms[~np.isnan(atoms)].tolist()
     smax = math.sqrt(mass.var.max())
     if smax == 0.0:
-        vals = _objective_vec(classes, np.array(cands), mass)
+        vals = _objective_vec(priors, np.array(cands), mass)
         return float(cands[int(np.argmax(vals))])
     lo, hi = min(means) - 10.0 * smax, max(means) + 10.0 * smax
-    x, _ = grid_golden_max(lambda d: _objective_vec(classes, d, mass), lo, hi, extra=cands)
+    x, _ = grid_golden_max(lambda d: _objective_vec(priors, d, mass), lo, hi, extra=cands)
     return float(x)
 
 
@@ -262,34 +268,18 @@ def _lower_from(classes: list[ClassSpec], n_moments: int, mass: mm.SharedMass | 
         return LowerBoundResult(1.0 - max(c.prior for c in classes), 0.0, eps, False,
                                 BoundMethod.FIRST_MOMENT)
     if len(classes) == 2:
-        delta = optimal_shift_two_class(classes[0], classes[1], mass)
+        delta, *eps, value = (float(x[0, 0]) for x in
+                              _two_class_rows([c.prior for c in classes], mass))
         method = BoundMethod.CLOSED_FORM_G2
     else:
         delta = optimal_shift_numeric(classes, mass)
         method = BoundMethod.NUMERIC
-    eps = tuple(mass(delta).ravel().tolist())
-    weighted = [c.prior * e for c, e in zip(classes, eps)]
-    weighted.remove(max(weighted))  # sum - max cancels when one class keeps nearly all
-    value = sum(weighted)
+        eps = mass(delta).ravel().tolist()
+        weighted = [c.prior * e for c, e in zip(classes, eps)]
+        weighted.remove(max(weighted))  # sum - max cancels when one class keeps nearly all
+        value = sum(weighted)
     # with two moments the supremum fails exactly when some class must give
     # up all its mass while keeping positive variance (shifted mean zero)
     attained = n_moments == 2 and all(e < 1.0 or v == 0.0
                                       for v, e in zip(mass.var.ravel().tolist(), eps))
-    return LowerBoundResult(float(value), float(delta), eps, attained, method)
-
-
-def _two_moment_mass(c1: ClassSpec, c2: ClassSpec) -> mm.SharedMass:
-    """The two-moment ``moments.shared_mass`` map of two classes, per row of columns."""
-    mean, h2 = np.reshape(_columns(c1.gamma1, c2.gamma1, c1.gamma2, c2.gamma2), (2, 2, -1))
-    return mm.shared_mass(np.stack([np.ones(mean.shape), mean, h2], axis=-1))
-
-
-def _two_moment_rows(c1: ClassSpec, c2: ClassSpec, mass: mm.SharedMass) -> np.ndarray:
-    """``lower_bound([c1, c2], 2).value`` for every row of ``_two_moment_mass``,
-    unchecked: ``cli.cmd_sweep`` refuses priors not summing to 1 and variances that
-    are not positive, and then ``is_feasible`` finds no negative variance, as
-    fl(fl(mu^2) + sigma2^2) >= fl(mu^2) (rounding is monotone, and its 2^e units for
-    |mu| >= 2^300 are exact). ``moments.shared_mass`` refuses a g2 that is not finite."""
-    delta = _shift_two_class(c1, c2, mass)
-    w1, w2 = (c.prior * m for c, m in zip((c1, c2), mass(delta)))
-    return np.minimum(w1, w2)  # as lower_bound sums all but the largest
+    return LowerBoundResult(value, delta, tuple(eps), attained, method)

@@ -176,8 +176,9 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
     Tol enters only as a factor: of the sd cut, of each pivot's band and of
     the Gauss test. So the same pass also judges g0 .. g2k at machine epsilon,
     the frame ``shared_mass`` reads (``map_band``), wherever the two take the
-    same branch. That frame's products are formed on its 2k + 1 entries alone:
-    BLAS may round a longer product differently.
+    same branch. For k >= 2 an odd n's first 2k + 1 entries are formed on g0 ..
+    g2k alone (BLAS may round a longer product differently), so that frame is
+    this one's by construction; n = 3 keeps one product, and no map.
     """
     size = g.size
     k = (size - 1) // 2
@@ -189,11 +190,11 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
         shift = _shift_matrix(size, mean)
         ah = np.abs(h) + _TINY  # below the normal range rounding is absolute
         c, unit = shift @ h, np.abs(shift) @ ah
-        cm, unit_m = ((shift[:m, :m] @ h[:m], np.abs(shift[:m, :m]) @ ah[:m]) if m < size
-                      else (c, unit))
+        if k >= 2 and m < size:  # the map's frame c[:m], from products on g0 .. g2k alone
+            c[:m], unit[:m] = shift[:m, :m] @ h[:m], np.abs(shift[:m, :m]) @ ah[:m]
         b = tol * unit
         sd = _frame_sd(c, b, size)
-        shared = _frame_sd(cm, _EPS * unit_m, m) == sd and (cm is c or (cm == c[:m]).all())
+        shared = (k >= 2 or m == size) and _frame_sd(c[:m], _EPS * unit[:m], m) == sd
         scale = (sd or 1.0) ** j  # sd^j past the doubles: t_j = 0, and |t_j| < 1 there
         shift /= scale[:, None]
         t, err = c / scale, b / scale
@@ -212,9 +213,7 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
         coef = np.abs(square @ shift[:2 * r + 1])
         band = (tol * coef) @ ah
         if map_band is not None:
-            if m < size:
-                coef = np.abs(square @ shift[:2 * r + 1, :m])
-            map_band = (_EPS * coef) @ ah[:m]
+            map_band = (_EPS * coef[:m]) @ ah[:m]
             if -map_band <= pivot <= (0.0 if r == k else map_band):
                 map_band = None  # the map's frame runs a Gauss test of its own
         if -band <= pivot <= (0.0 if r == k else band):

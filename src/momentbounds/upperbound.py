@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments as mm
 from ._search import _real_roots
-from .lowerbound import ClassSpec, _two_moment_mass
-from .moments import SharedMass
+from .lowerbound import ClassSpec
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,26 @@ class UpperBoundResult:
     clipped: bool
 
 
-def _worst_error_vec(c1: ClassSpec, c2: ClassSpec, s: np.ndarray, mass: SharedMass) -> np.ndarray:
+def _worst_error_vec(priors, s: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
     """Worst-case error of each threshold in ``s`` over all moment-feasible pairs,
-    per row, from ``mass``, the classes' two-moment shared-mass map. The class with
-    the smaller mean (c1 on a tie) is assigned the left half-line, so its error
-    region is [s, inf) and the other class's is (-inf, s]."""
+    per row, from ``mass``, the classes' two-moment shared-mass map, and their
+    ``priors``. The class with the smaller mean (the first on a tie) is assigned
+    the left half-line, so its error region is [s, inf) and the other class's is
+    (-inf, s]."""
     (mu1, mu2), (m1, m2) = mass.mean, mass(s)
     left = mu1 <= mu2
     t1 = np.where(np.where(left, mu1 >= s, mu1 <= s), 1.0, m1)
     t2 = np.where(np.where(left, mu2 <= s, mu2 >= s), 1.0, m2)
-    return c1.prior * t1 + c2.prior * t2
+    return priors[0] * t1 + priors[1] * t2
 
 
-def _upper_rows(c1: ClassSpec, c2: ClassSpec, mass: SharedMass):
+def _upper_rows(priors, mass: mm.SharedMass):
     """``upper_bound``'s value, threshold and clipped flag for every row at
-    once, as columns; ``mass`` is the classes' ``_two_moment_mass``, whose
-    means and variances may be (rows, 1) columns."""
-    if abs(c1.prior + c2.prior - 1.0) > 1e-12:
-        raise ValueError("the two class priors must sum to 1")
-    (mu1, mu2), (var1, var2), p1, p2 = mass.mean, mass.var, c1.prior, c2.prior
+    once, as columns, from the checked ``priors`` and the means and variances
+    of ``mass``, a two-class map of any order: each class's half-line tail is
+    the two-moment map of those, a point mass's atom its mean."""
+    mean, var = (x.reshape(2, -1, 1) for x in (mass.mean, mass.var))
+    (mu1, mu2), (var1, var2), (p1, p2) = mean, var, priors
     left = mu1 <= mu2
     p_lo, mu_lo, var_lo, p_hi, mu_hi, var_hi = (
         np.where(left, x, y) for x, y in zip((p1, mu1, var1, p2, mu2, var2),
@@ -83,7 +84,7 @@ def _upper_rows(c1: ClassSpec, c2: ClassSpec, mass: SharedMass):
     x = np.concatenate([np.where((x > 0.0) & (x < g), x, np.nan), np.cbrt(q_a) ** 2], axis=1)
     s = np.concatenate([np.where(a_lo, mu_lo, mu_hi) + np.where(a_lo, 1.0, -1.0) * unit * x,
                         np.nextafter(mu_lo, math.inf), np.nextafter(mu_hi, -math.inf)], axis=1)
-    errors = _worst_error_vec(c1, c2, s, mass)
+    errors = _worst_error_vec(priors, s, mm._two_moment_map(mean, var))
     i = np.arange(len(s)), np.where(np.isnan(s), np.inf, errors).argmin(axis=1)
     err, s_in = errors[i][:, None], s[i][:, None]
     # a threshold at -inf (+inf) gives the line to the upper (lower) class and
@@ -109,5 +110,8 @@ def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     """
     if c1.gamma2 is None or c2.gamma2 is None:
         raise ValueError("second moment unknown for this class")
-    value, s_star, clipped = _upper_rows(c1, c2, _two_moment_mass(c1, c2))
+    mass = mm.shared_mass([c1.moment_sequence(2), c2.moment_sequence(2)])
+    if abs(c1.prior + c2.prior - 1.0) > 1e-12:
+        raise ValueError("the two class priors must sum to 1")
+    value, s_star, clipped = _upper_rows((c1.prior, c2.prior), mass)
     return UpperBoundResult(float(value[0, 0]), float(s_star[0, 0]), bool(clipped[0, 0]))

@@ -48,8 +48,8 @@ def test_criterion_1_equal_variance_closed_form(acceptance_registry):
             m = rng.uniform(-5.0, 5.0)
             classes = [make_class(0.5, m, sd * sd), make_class(0.5, m + gap, sd * sd)]
             mass = shared_mass([c.moment_sequence(2) for c in classes])
-            numeric = float(_objective_vec(classes, np.array([optimal_shift_numeric(classes, mass)]),
-                                           mass)[0])
+            d = optimal_shift_numeric(classes, mass)
+            numeric = float(_objective_vec([0.5, 0.5], np.array([d]), mass)[0])
             closed = 2.0 * sd * sd / (4.0 * sd * sd + gap * gap)
             assert abs(numeric - closed) <= 1e-9, (sd, gap, numeric, closed)
             assert abs(lower_bound(classes, 2).value - closed) <= 1e-9
@@ -119,7 +119,7 @@ def test_criterion_4_unequal_variance_spot(acceptance_registry):
         # independent dense-grid supremum oracle, one million points
         xs = np.linspace(0.0 - 10.0 * math.sqrt(5.0), 4.0 + 10.0 * math.sqrt(5.0),
                          1_000_000)
-        vals = _objective_vec(classes, xs, shared_mass([c.moment_sequence(2) for c in classes]))
+        vals = _objective_vec([0.5, 0.5], xs, shared_mass([c.moment_sequence(2) for c in classes]))
         i = int(np.argmax(vals))
         assert abs(res.delta_star - (math.sqrt(5.0) - 1.0)) <= 1e-6
         assert abs(res.delta_star - xs[i]) <= 1e-4

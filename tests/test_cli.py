@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
 import re
@@ -21,10 +22,9 @@ from momentbounds import (
     lower_bound,
     upper_bound,
 )
-from momentbounds import lowerbound, upperbound
 from momentbounds import moments as mm
 from momentbounds.gaussian import normal_cdf
-from momentbounds.lowerbound import _two_moment_mass, _two_moment_rows
+from momentbounds.lowerbound import _two_class_rows
 from momentbounds.upperbound import _upper_rows
 
 
@@ -212,9 +212,9 @@ def test_bound_far_pair_keeps_the_lower_bound_below_the_upper_bound(tmp_path, ca
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert 0.0 < report["lower"] <= report["upper"]
-    c1, c2 = (ClassSpec.from_moments(c["prior"], c["moments"]) for c in FAR_PAIR)
-    # the sweep's lower column
-    assert _two_moment_rows(c1, c2, _two_moment_mass(c1, c2))[0, 0] == report["lower"]
+    # the sweep's lower column, from a one-row map of the two classes
+    mass = mm.shared_mass([[[1.0, *c["moments"]]] for c in FAR_PAIR])
+    assert _two_class_rows([c["prior"] for c in FAR_PAIR], mass)[3][0, 0] == report["lower"]
 
 
 def strict_json(text):
@@ -359,9 +359,11 @@ def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
      "each class needs a non-empty moments list"),
     (["sweep", "--priors", "0.3,0.6"], "sweep needs exactly two priors summing to 1"),
     (["sweep", "--sigma2sq", "0"], "sweep variances must be positive"),
+    (["sweep", "--priors", "1.5,-0.5"], "prior must lie in (0, 1), got 1.5"),
     (["sweep", "--mu2", "1:2"], "expected FROM:TO:STEP, got '1:2'"),
     (["sweep", "--mu2=a:1:1"], "expected FROM:TO:STEP, got 'a:1:1'"),
-], ids=["list_file", "one_class", "no_moments", "priors", "variance", "two_parts", "not_a_number"])
+], ids=["list_file", "one_class", "no_moments", "priors", "variance", "prior_range", "two_parts",
+        "not_a_number"])
 def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
     if not isinstance(argv[-1], str):
         path = tmp_path / "problem.json"
@@ -487,6 +489,20 @@ def test_sweep_range_rejects_non_finite(spec, capsys):
     assert "--mu2" in err
 
 
+def test_sweep_refuses_a_grid_too_large_to_build(capsys):
+    # a step typo: 2.5e10 points are refused before any of them is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--mu2", "0:25:1e-9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "range '0:25:1e-9' has 25000000001 points, more than 1000000" in captured.err
+    # the limit itself, on the parser alone
+    assert len(cli._parse_range("1:1000000:1")) == 10 ** 6
+    with pytest.raises(argparse.ArgumentTypeError, match="has 1000001 points"):
+        cli._parse_range("0:1000000:1")
+
+
 def test_refused_sweep_prints_no_rows(capsys):
     # row 0 answers, row 1 squares mu2 past the double range: the whole grid
     # is checked before any row is printed
@@ -507,12 +523,13 @@ def one_row_line(mu2, s1, s2, p1, p2):
 
 def assert_rows_match_one_row_calls(mu2s, s1, s2s, p1, p2):
     # the batched pass over the grid, bit for bit against one call per row
-    s2, mu2 = (a.reshape(-1, 1) for a in np.meshgrid(s2s, mu2s, indexing="ij"))
-    c1, c2 = ClassSpec(p1, 0.0, s1), ClassSpec(p2, mu2, mu2 * mu2 + s2)
-    mass = _two_moment_mass(c1, c2)
-    low = _two_moment_rows(c1, c2, mass)
-    up, s_star, clipped = _upper_rows(c1, c2, mass)
-    for i, (m, v) in enumerate(zip(mu2.ravel().tolist(), s2.ravel().tolist())):
+    s2, mu2 = (a.ravel() for a in np.meshgrid(s2s, mu2s, indexing="ij"))
+    ones = np.ones_like(mu2)
+    mass = mm.shared_mass([np.stack([ones, 0.0 * ones, s1 * ones], axis=-1),
+                           np.stack([ones, mu2, mu2 * mu2 + s2], axis=-1)])
+    low = _two_class_rows((p1, p2), mass)[3]
+    up, s_star, clipped = _upper_rows((p1, p2), mass)
+    for i, (m, v) in enumerate(zip(mu2.tolist(), s2.tolist())):
         one = [ClassSpec(p1, 0.0, s1), ClassSpec(p2, m, m * m + v)]
         ub = upper_bound(*one)
         assert low[i, 0] == lower_bound(one, 2).value, (m, v)
@@ -644,13 +661,14 @@ def test_bound_report_is_the_public_path(n):
 
 def test_bound_standardizes_each_class_once(tmp_path, capsys, monkeypatch):
     # an n = 5 bound on two eight-atom classes: one frame per class gives its
-    # verdict and its shared-mass map, and the upper bound reads that map
-    passes = []
-    standardize = mm._standardize
+    # verdict and its shared-mass map, and the upper bound reads that map,
+    # built once from moments (every map from moments passes _shared_mass)
+    passes, maps = [], []
+    standardize, build = mm._standardize, mm._shared_mass
     monkeypatch.setattr(mm, "_standardize",
                         lambda g, tol: passes.append(g.size) or standardize(g, tol))
-    for module in (cli, lowerbound, upperbound):
-        monkeypatch.setattr(module, "_two_moment_mass", None)
+    monkeypatch.setattr(mm, "_shared_mass",
+                        lambda arr, tol, frames: maps.append(arr.shape) or build(arr, tol, frames))
     classes = []
     for prior, step, start in ((0.4, 1.0, 0.0), (0.6, 2.0, 3.0)):
         measure = DiscreteMeasure(tuple((start + step * i, w) for i, w in
@@ -659,3 +677,4 @@ def test_bound_standardizes_each_class_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["bound", write_problem(tmp_path, classes)], capsys)
     assert code == 0 and json.loads(out)["upper"] is not None
     assert passes == [6, 6]
+    assert maps == [(2, 6)]

@@ -41,7 +41,7 @@ def grid_sup_objective(classes, mass, num=200_001, margin=10.0):
     means = [c.gamma1 for c in classes]
     smax = max(math.sqrt(max(c.sigma2, 0.0)) for c in classes)
     xs = np.linspace(min(means) - margin * smax, max(means) + margin * smax, num)
-    vals = _objective_vec(classes, xs, mass)
+    vals = _objective_vec([c.prior for c in classes], xs, mass)
     i = int(np.argmax(vals))
     return float(xs[i]), float(vals[i])
 
@@ -72,7 +72,7 @@ def test_objective_identical_classes():
     c = make_class(0.5, 1.0, 2.0)
     one, mass = shared_mass(c.moment_sequence(2)), shared_mass([c.moment_sequence(2)] * 2)
     for d in (-1.0, 0.0, 1.0, 3.0):
-        assert _objective_vec([c, c], np.array([d]), mass)[0] == pytest.approx(0.5 * one(d))
+        assert _objective_vec([c.prior] * 2, np.array([d]), mass)[0] == pytest.approx(0.5 * one(d))
 
 
 def test_objective_two_class_is_min():
@@ -81,9 +81,9 @@ def test_objective_two_class_is_min():
     for d in np.linspace(-2, 4, 31):
         f1 = float(shared_mass(classes[0].moment_sequence(2))(d))
         f2 = float(shared_mass(classes[1].moment_sequence(2))(d))
-        assert _objective_vec(classes, np.array([d]), mass)[0] == pytest.approx(
+        assert _objective_vec([c.prior for c in classes], np.array([d]), mass)[0] == pytest.approx(
             0.5 * min(f1, f2), abs=1e-15)
-    assert _objective_vec(classes, np.array([1.0]), mass)[0] == pytest.approx(0.25)
+    assert _objective_vec([0.5, 0.5], np.array([1.0]), mass)[0] == pytest.approx(0.25)
 
 
 def test_optimal_shift_two_class_equal_variances():
@@ -131,8 +131,9 @@ def test_numeric_matches_closed_form_objective():
         mass = shared_mass([c.moment_sequence(2) for c in classes])
         d_closed = optimal_shift_two_class(*classes, mass)
         d_num = optimal_shift_numeric(classes, mass)
-        assert _objective_vec(classes, np.array([d_num]), mass)[0] == pytest.approx(
-            _objective_vec(classes, np.array([d_closed]), mass)[0], abs=1e-6)
+        priors = [c.prior for c in classes]
+        assert _objective_vec(priors, np.array([d_num]), mass)[0] == pytest.approx(
+            _objective_vec(priors, np.array([d_closed]), mass)[0], abs=1e-6)
 
 
 def test_numeric_optimum_lies_between_extreme_means():
@@ -151,11 +152,12 @@ def test_numeric_beats_dense_grid_three_class():
     mass = shared_mass([c.moment_sequence(2) for c in classes])
     d = optimal_shift_numeric(classes, mass)
     _, oracle = grid_sup_objective(classes, mass)
-    value = _objective_vec(classes, np.array([d]), mass)[0]
+    value = _objective_vec([c.prior for c in classes], np.array([d]), mass)[0]
     assert value >= oracle - 1e-9
     # and never below the midpoint rule of the weaker min-based bound
     means = [c.gamma1 for c in classes]
-    assert value >= _objective_vec(classes, np.array([0.5 * (min(means) + max(means))]), mass)[0]
+    midpoint = np.array([0.5 * (min(means) + max(means))])
+    assert value >= _objective_vec([c.prior for c in classes], midpoint, mass)[0]
     # G = 3..6 five-atom classes, with the two- and four-moment maps
     rng = np.random.default_rng(31)
     for G in range(3, 7):
@@ -167,7 +169,7 @@ def test_numeric_beats_dense_grid_three_class():
             mass = shared_mass([c.moment_sequence(n) for c in classes])
             d = optimal_shift_numeric(classes, mass)
             _, oracle = grid_sup_objective(classes, mass, num=100_001)
-            value = float(_objective_vec(classes, np.array([d]), mass)[0])
+            value = float(_objective_vec([c.prior for c in classes], np.array([d]), mass)[0])
             assert value >= oracle - 1e-12, (G, n, value, oracle)
 
 
@@ -298,7 +300,7 @@ def test_objective_dominates_min_form():
         mass = shared_mass([c.moment_sequence(2) for c in classes])
         for d in rng.uniform(-6, 6, size=10):
             w = [c.prior * float(shared_mass(c.moment_sequence(2))(d)) for c in classes]
-            assert _objective_vec(classes, np.array([d]), mass)[0] >= (G - 1) * min(w) - 1e-12
+            assert _objective_vec(priors, np.array([d]), mass)[0] >= (G - 1) * min(w) - 1e-12
 
 
 def test_bound_decreases_with_separation():
@@ -380,11 +382,11 @@ def test_two_class_shift_is_never_beaten_by_a_grid(atoms1, atoms2, p1, n):
     mass = shared_mass([c.moment_sequence(n) for c in classes])
     res = lower_bound(classes, n)
     assert res.method is BoundMethod.CLOSED_FORM_G2
-    exact = float(_objective_vec(classes, np.array([res.delta_star]), mass)[0])
+    exact = float(_objective_vec([c.prior for c in classes], np.array([res.delta_star]), mass)[0])
     _, oracle = grid_sup_objective(classes, mass)
     numeric = optimal_shift_numeric(classes, mass)
     assert exact >= oracle - 1e-12
-    assert exact >= float(_objective_vec(classes, np.array([numeric]), mass)[0]) - 1e-12
+    assert exact >= float(_objective_vec([p1, 1.0 - p1], np.array([numeric]), mass)[0]) - 1e-12
 
 
 @settings(max_examples=25, deadline=None)

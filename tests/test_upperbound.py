@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentbounds import ClassSpec, DiscreteMeasure, lower_bound, upper_bound
-from momentbounds.lowerbound import _two_moment_mass
-from momentbounds.moments import moments_of
+from momentbounds.moments import moments_of, shared_mass
 from momentbounds.upperbound import _worst_error_vec
 
 
@@ -18,8 +17,15 @@ def make_class(prior, mean, var):
     return ClassSpec(prior, mean, mean * mean + var)
 
 
+def worst_error_vec(c1, c2, s):
+    """``_worst_error_vec`` at the thresholds ``s`` from the classes' two-moment
+    map, with one row, as ``upper_bound`` reads it."""
+    tails = shared_mass([[c1.moment_sequence(2)], [c2.moment_sequence(2)]])
+    return _worst_error_vec((c1.prior, c2.prior), s, tails)
+
+
 def worst_error(c1, c2, s):
-    return float(_worst_error_vec(c1, c2, np.array([s]), _two_moment_mass(c1, c2))[0, 0])
+    return float(worst_error_vec(c1, c2, np.array([s]))[0, 0])
 
 
 def tail_prob(mu, var, s, errs_right):
@@ -217,7 +223,7 @@ def test_upper_bound_next_to_a_narrow_class(c1, c2):
     toward = math.copysign(1.0, wide.gamma1 - narrow.gamma1)
     s = narrow.gamma1 + toward * np.logspace(-40.0, 1.0, 400_001)
     res = upper_bound(c1, c2)
-    assert res.value <= float(_worst_error_vec(c1, c2, s, _two_moment_mass(c1, c2)).min()) + 1e-12
+    assert res.value <= float(worst_error_vec(c1, c2, s).min()) + 1e-12
     assert worst_error(c1, c2, res.s_star) == res.value
 
 
@@ -231,6 +237,6 @@ def test_upper_bound_is_never_beaten_by_a_grid(p1, m1, m2, v1, v2):
     res = upper_bound(c1, c2)
     sd_lo, sd_hi = (math.sqrt(v1), math.sqrt(v2)) if m1 <= m2 else (math.sqrt(v2), math.sqrt(v1))
     s = np.linspace(min(m1, m2) - 10.0 * sd_lo, max(m1, m2) + 10.0 * sd_hi, 200_001)
-    assert res.value <= float(_worst_error_vec(c1, c2, s, _two_moment_mass(c1, c2)).min()) + 1e-12
+    assert res.value <= float(worst_error_vec(c1, c2, s).min()) + 1e-12
     if not res.clipped:
         assert worst_error(c1, c2, res.s_star) == res.value
