@@ -24,9 +24,8 @@ import numpy as np
 from . import moments as mm
 from .errors import InfeasibleSequenceError
 from .gaussian import _bayes_error
-from .lowerbound import ClassSpec, _checked_mass, _lower_from, _two_class_rows
-from .lowerbound import lower_bound  # noqa: F401 (bench/tracing.py wraps it by this name)
-from .upperbound import _upper_rows
+from .lowerbound import ClassSpec, _two_class_rows, lower_bound
+from .upperbound import _upper_rows, upper_bound
 from .witness import verify_witness
 
 
@@ -47,10 +46,19 @@ def _json_number(x):
 
 def _parse_number_list(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",")]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
-    return values
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= tol < math.inf:  # refuses NaN too
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+    return tol
 
 
 #: the most points a FROM:TO:STEP grid may have (a step typo can ask for 1e10)
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="check whether a moment list belongs to some measure")
     p_feas.add_argument("--moments", required=True, type=_parse_number_list,
                         metavar="G0,G1,...", help="full moment list starting at the mass g0")
-    p_feas.add_argument("--tol", type=float, default=mm.DEFAULT_TOL,
+    p_feas.add_argument("--tol", type=_parse_tol, default=mm.DEFAULT_TOL,
                         help="scale-relative numerical tolerance (default 1e-9)")
     p_feas.set_defaults(func=cmd_feasibility)
 
@@ -100,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the report as JSON (default)")
     fmt.add_argument("--csv", action="store_false", dest="as_json",
                      help="emit the report as a one-row CSV")
-    p_bound.add_argument("--tol", type=float, default=mm.DEFAULT_TOL)
+    p_bound.add_argument("--tol", type=_parse_tol, default=mm.DEFAULT_TOL)
     p_bound.set_defaults(func=cmd_bound)
 
     p_sweep = sub.add_parser("sweep",
@@ -119,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="build and verify witness distributions for a problem file")
     p_wit.add_argument("problem", help="path to a JSON problem file")
     p_wit.add_argument("--out", default=None, help="write the witness JSON here (default stdout)")
-    p_wit.add_argument("--tol", type=float, default=mm.DEFAULT_TOL)
+    p_wit.add_argument("--tol", type=_parse_tol, default=mm.DEFAULT_TOL)
     p_wit.set_defaults(func=cmd_witness)
 
     return parser
@@ -153,10 +161,9 @@ def cmd_feasibility(args) -> int:
 
 
 def _bound_report(classes: list[ClassSpec], n_moments: int, tol: float) -> dict:
-    """``lower_bound``, ``upper_bound`` and the Gaussian baseline of a problem, as
-    ``cmd_sweep`` has them: one map for both bounds, priors and variances checked."""
-    mass = _checked_mass(classes, n_moments, tol)
-    res = _lower_from(classes, n_moments, mass)
+    """``lower_bound``, ``upper_bound`` and the Gaussian baseline of a problem;
+    the bounds have checked the priors and variances the baseline reads."""
+    res = lower_bound(classes, n_moments, tol)
     report = {
         "lower": res.value,
         "lower_attained": res.attained,
@@ -169,9 +176,9 @@ def _bound_report(classes: list[ClassSpec], n_moments: int, tol: float) -> dict:
     }
     if len(classes) == 2 and n_moments >= 2:
         c1, c2 = classes
-        value, s_star, _ = _upper_rows((c1.prior, c2.prior), mass)
-        report["upper"] = float(value[0, 0])
-        report["s_star"] = _json_number(float(s_star[0, 0]))
+        up = upper_bound(c1, c2)
+        report["upper"] = up.value
+        report["s_star"] = _json_number(up.s_star)
         if c1.sigma2 > 0.0 and c2.sigma2 > 0.0:
             report["gaussian"] = _bayes_error(c1.gamma1, c2.gamma1, c1.sigma2, c2.sigma2,
                                               c1.prior, c2.prior)
@@ -216,7 +223,7 @@ def cmd_sweep(args) -> int:
         seq = np.stack([np.broadcast_to([1.0, 0.0, args.sigma1sq], (len(mu2), 3)),
                         np.stack([np.ones_like(mu2), mu2, mu2 * mu2 + s2sq], axis=-1)])
     mass = mm.shared_mass(seq)
-    low, up = _two_class_rows(priors, mass)[3], _upper_rows(priors, mass)[0]
+    low, up = _two_class_rows(priors, mass)[3], _upper_rows(priors, mass.mean, mass.var)[0]
     lines = ["mu2,sigma2sq,lower,upper,gaussian"]
     for m, v, lo, hi in zip(*(a.ravel().tolist() for a in (mu2, s2sq, low, up))):
         gauss = _bayes_error(0.0, m, args.sigma1sq, v, *priors)

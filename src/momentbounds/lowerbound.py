@@ -226,19 +226,14 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
     ``n_moments`` selects how much of each class's moment data is used:
     1 uses only the means (bound 1 - max prior); 2 and more use each class's
     ``moments.shared_mass`` map of that order at the shared location. The
-    three-moment value coincides with the two-moment one, and from three
-    moments on the supremum is no longer attained.
+    three-moment value coincides with the two-moment one. ``attained`` is
+    False for every n >= 3, which is conservative: an even-n supremum can be
+    attained (N(0, 1) against N(2, 1) at n = 6).
 
     Raises InfeasibleSequenceError when some class's own moments admit no
     distribution.
     """
     classes = list(classes)
-    return _lower_from(classes, n_moments, _checked_mass(classes, n_moments, tol))
-
-
-def _checked_mass(classes: list[ClassSpec], n_moments: int, tol: float) -> mm.SharedMass | None:
-    """``lower_bound``'s checks, then the classes' shared-mass map (None for one
-    moment), each class's verdict and map from one frame."""
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     total = sum(c.prior for c in classes)
@@ -250,23 +245,16 @@ def _checked_mass(classes: list[ClassSpec], n_moments: int, tol: float) -> mm.Sh
         if c.n_moments < n_moments:
             raise ValueError(f"class {i} provides only {c.n_moments} moments")
     if n_moments == 1:
-        return None
-    verdicts, mass = mm._judged_mass([c.moment_sequence(n_moments) for c in classes], tol)
-    for i, verdict in enumerate(verdicts):
-        if not verdict.feasible:
-            raise InfeasibleSequenceError(
-                f"class {i} moment sequence is infeasible ({verdict.reason.value})")
-    return mass
-
-
-def _lower_from(classes: list[ClassSpec], n_moments: int, mass: mm.SharedMass | None):
-    """``lower_bound`` from ``_checked_mass``'s map."""
-    if n_moments == 1:
         # the means alone let the shared mass be pushed arbitrarily close to 1
         # (but not to 1): the supremum is 1 - max prior, never attained
         eps = tuple(1.0 for _ in classes)
         return LowerBoundResult(1.0 - max(c.prior for c in classes), 0.0, eps, False,
                                 BoundMethod.FIRST_MOMENT)
+    verdicts, mass = mm._judged_mass([c.moment_sequence(n_moments) for c in classes], tol)
+    for i, verdict in enumerate(verdicts):
+        if not verdict.feasible:
+            raise InfeasibleSequenceError(
+                f"class {i} moment sequence is infeasible ({verdict.reason.value})")
     if len(classes) == 2:
         delta, *eps, value = (float(x[0, 0]) for x in
                               _two_class_rows([c.prior for c in classes], mass))

@@ -5,8 +5,8 @@ probability any such distribution can place on S is 1 when the mean lies in
 S, and otherwise the two-moment ``moments.shared_mass`` at its endpoint (a
 sharpened Chebyshev-Cantelli inequality). Minimizing the resulting worst-case
 two-class error over the threshold location upper-bounds the supremum Bayes
-error of any pair of distributions with the given moments. The lower bound
-reads the same map, so lower <= upper holds exactly for two and three moments.
+error of any pair of distributions with the given moments. The lower bound's
+map has these means and variances, so lower <= upper exactly for n = 2 and 3.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ def _worst_error_vec(priors, s: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
     return priors[0] * t1 + priors[1] * t2
 
 
-def _upper_rows(priors, mass: mm.SharedMass):
+def _upper_rows(priors, mean, var):
     """``upper_bound``'s value, threshold and clipped flag for every row at
-    once, as columns, from the checked ``priors`` and the means and variances
-    of ``mass``, a two-class map of any order: each class's half-line tail is
+    once, as columns, from the checked ``priors`` and the two classes' ``mean``
+    and ``var`` columns (a class axis first): each class's half-line tail is
     the two-moment map of those, a point mass's atom its mean."""
-    mean, var = (x.reshape(2, -1, 1) for x in (mass.mean, mass.var))
+    mean, var = (np.reshape(x, (2, -1, 1)) for x in (mean, var))
     (mu1, mu2), (var1, var2), (p1, p2) = mean, var, priors
     left = mu1 <= mu2
     p_lo, mu_lo, var_lo, p_hi, mu_hi, var_hi = (
@@ -110,8 +110,12 @@ def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     """
     if c1.gamma2 is None or c2.gamma2 is None:
         raise ValueError("second moment unknown for this class")
-    mass = mm.shared_mass([c1.moment_sequence(2), c2.moment_sequence(2)])
+    g1, g2 = g = np.array([[c1.gamma1, c2.gamma1], [c1.gamma2, c2.gamma2]], dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("moments must be finite")
     if abs(c1.prior + c2.prior - 1.0) > 1e-12:
         raise ValueError("the two class priors must sum to 1")
-    value, s_star, clipped = _upper_rows((c1.prior, c2.prior), mass)
+    with np.errstate(over="ignore"):  # g1^2 beyond g2: a point mass, as in moments.shared_mass
+        var = np.maximum(g2 - g1 * g1, 0.0)
+    value, s_star, clipped = _upper_rows((c1.prior, c2.prior), g1, var)
     return UpperBoundResult(float(value[0, 0]), float(s_star[0, 0]), bool(clipped[0, 0]))

@@ -351,6 +351,13 @@ def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
         assert json.loads(out)["trivial"] == pytest.approx(ceiling)
 
 
+#: each command taking --tol, with the rest of its arguments; argparse refuses
+#: a bad tolerance before the (missing) problem file is opened
+TOL_CALLS = {"feasibility": ["--moments", "1,0,1"], "bound": ["problem.json"],
+             "witness": ["problem.json"]}
+BAD_TOLS = ("nan", "inf", "-1")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bound", [{"prior": 0.5, "moments": [0, 1]}] * 2],
      "problem file must be an object with a 'classes' list"),
@@ -362,8 +369,12 @@ def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
     (["sweep", "--priors", "1.5,-0.5"], "prior must lie in (0, 1), got 1.5"),
     (["sweep", "--mu2", "1:2"], "expected FROM:TO:STEP, got '1:2'"),
     (["sweep", "--mu2=a:1:1"], "expected FROM:TO:STEP, got 'a:1:1'"),
+    *([[command, "--tol", tol, *rest], f"tolerance must be finite and nonnegative, got {tol!r}"]
+      for command, rest in TOL_CALLS.items() for tol in BAD_TOLS),
+    (["bound", "--tol", "abc", "problem.json"], "invalid float value: 'abc'"),
 ], ids=["list_file", "one_class", "no_moments", "priors", "variance", "prior_range", "two_parts",
-        "not_a_number"])
+        "not_a_number", *(f"{command}_tol_{tol}" for command in TOL_CALLS for tol in BAD_TOLS),
+        "tol_not_a_number"])
 def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
     if not isinstance(argv[-1], str):
         path = tmp_path / "problem.json"
@@ -376,6 +387,25 @@ def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert message in captured.err
+
+
+def test_zero_tol_answers(tmp_path, capsys):
+    # the refused tolerances stop short of 0, which every command still takes
+    path = write_problem(tmp_path, [{"prior": 0.5, "moments": [0, 1]},
+                                    {"prior": 0.5, "moments": [2, 5]}])
+    for argv in (["feasibility", "--moments", "1,0,1", "--tol", "0"],
+                 ["bound", path, "--tol", "0"], ["witness", path, "--tol", "0"]):
+        assert run(argv, capsys)[0] == 0, argv
+
+
+@pytest.mark.parametrize("report, message", [
+    ({"lower": 1.5, "upper": None, "gaussian": None}, "lower bound out of range"),
+    ({"lower": 0.4, "upper": 0.3, "gaussian": None}, "bound ordering violated"),
+    ({"lower": 0.1, "upper": 0.3, "gaussian": 0.4}, "Gaussian baseline exceeds the upper bound"),
+], ids=["lower_range", "lower_above_upper", "gaussian_above_upper"])
+def test_check_report_refuses_disordered_reports(report, message):
+    with pytest.raises(AssertionError, match=message):
+        cli._check_report(report)
 
 
 def test_bound_missing_file_exits_two(capsys):
@@ -528,7 +558,7 @@ def assert_rows_match_one_row_calls(mu2s, s1, s2s, p1, p2):
     mass = mm.shared_mass([np.stack([ones, 0.0 * ones, s1 * ones], axis=-1),
                            np.stack([ones, mu2, mu2 * mu2 + s2], axis=-1)])
     low = _two_class_rows((p1, p2), mass)[3]
-    up, s_star, clipped = _upper_rows((p1, p2), mass)
+    up, s_star, clipped = _upper_rows((p1, p2), mass.mean, mass.var)
     for i, (m, v) in enumerate(zip(mu2.tolist(), s2.tolist())):
         one = [ClassSpec(p1, 0.0, s1), ClassSpec(p2, m, m * m + v)]
         ub = upper_bound(*one)
@@ -634,9 +664,10 @@ def public_report(classes, n_moments, tol):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_bound_report_is_the_public_path(n):
-    # one shared-mass map serves both bounds in the report; the public
-    # functions each build their own. Regular classes, point masses and
-    # classes of at most k atoms (singular for n >= 4), at offsets and scales
+    # the report calls lower_bound and upper_bound, and the Gaussian row
+    # function on floats: this reference checks that field through
+    # GaussianPair. Regular classes, point masses and classes of at most
+    # k atoms (singular for n >= 4), at offsets and scales
     rng = np.random.default_rng(600 + n)
     kinds = {"regular": (n // 2 + 1, 7), "point": (1, 1), "singular": (max(n // 2, 1), n // 2 + 1)}
     for _ in range(40):
@@ -661,8 +692,9 @@ def test_bound_report_is_the_public_path(n):
 
 def test_bound_standardizes_each_class_once(tmp_path, capsys, monkeypatch):
     # an n = 5 bound on two eight-atom classes: one frame per class gives its
-    # verdict and its shared-mass map, and the upper bound reads that map,
-    # built once from moments (every map from moments passes _shared_mass)
+    # verdict and its shared-mass map, built once from moments (every map from
+    # moments passes _shared_mass); the upper bound builds none, reading the
+    # two classes' means and variances itself
     passes, maps = [], []
     standardize, build = mm._standardize, mm._shared_mass
     monkeypatch.setattr(mm, "_standardize",

@@ -49,6 +49,8 @@ CASES = {
                        "priors must lie in (0, 1)"),
     "upper_without_gamma2": (lambda: upper_bound(ClassSpec(0.5, 0.0), PAIR[1]),
                              "second moment unknown for this class"),
+    "upper_non_finite": (lambda: upper_bound(ClassSpec(0.5, math.inf, 1.0), PAIR[1]),
+                         "moments must be finite"),
     "upper_prior_sum": (lambda: upper_bound(ClassSpec(0.3, 0.0, 1.0), ClassSpec(0.3, 1.0, 2.0)),
                         "the two class priors must sum to 1"),
     "empty_interval": (lambda: grid_golden_max(lambda x: x, 1.0, 0.0, []),
