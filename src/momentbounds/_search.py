@@ -1,5 +1,5 @@
-"""One-dimensional search helpers: a coarse grid scan refined by batched
-bracket passes, and real polynomial roots for many rows at once."""
+"""One-dimensional search helpers: a grid scan (on a span, with kinks) refined
+by batched bracket passes, and real polynomial roots for many rows at once."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ _STEPS = np.arange(GRID_POINTS, dtype=float)
 #: points per refinement pass; each pass narrows the bracket (n - 1) / 2 times.
 PASS_POINTS = 33
 
-#: a guard only: after a 10,001-point scan a dozen passes reach double
-#: resolution, but a bracket closing in on 0 can keep shrinking into subnormals.
+#: a guard only: after a scan of the 10,001-point grid (or a span of it) a dozen
+#: passes reach double resolution; a bracket closing in on 0 can go subnormal.
 _MAX_PASSES = 100
 
 
@@ -44,14 +44,17 @@ def golden_max(f, lo: float, hi: float, width: float = 1e-10):
     return x, f(x)
 
 
-def grid_golden_max(f_vec, lo: float, hi: float, extra):
+def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), stop=None):
     """Maximize a vectorized function on [lo, hi]; returns (argmax, value).
 
     ``f_vec`` must accept a 1-D ndarray and return values of the same shape.
-    The interval is scanned on ``GRID_POINTS`` equispaced points together with the
-    ``extra`` candidates (clipped into the interval) in one call. The grid
-    points on either side of the best point bracket it; each pass then scans
-    the bracket on ``PASS_POINTS`` points in one call and keeps the
+    The interval is scanned on ``GRID_POINTS`` equispaced points (those in a
+    ``span`` known to hold the maximizer, by default the interval, and one past
+    each end) with the ``extra`` candidates and the ``kinks``, clipped into the
+    span, in one call. A winning kink that ``stop`` accepts, given its lead
+    over the best other point and the grid step, is returned. Otherwise the
+    grid points on either side of the best other point bracket it; each pass
+    then scans the bracket on ``PASS_POINTS`` points in one call and keeps the
     neighbours of that pass's best point, until the bracket no longer shrinks
     in doubles. There is no absolute width, so the search commutes with
     scaling the interval by a power of two. The best point seen is returned.
@@ -60,12 +63,17 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra):
     if hi < lo:
         raise ValueError("empty search interval")
     grid = _linspace(lo, hi, GRID_POINTS)
-    xs = np.concatenate([grid, [min(max(e, lo), hi) for e in extra]])
+    a, b = span or (lo, hi)
+    i0, i1 = np.searchsorted(grid, (a, b)) + (-1, 2)  # one more past each end
+    cands = np.fmin(np.fmax(np.concatenate([extra, kinks]), a), b)  # a NaN kink becomes a
+    xs = np.concatenate([grid[max(i0, 0):i1], cands])
     vals = np.asarray(f_vec(xs), dtype=float)
-    i = int(vals.argmax())
-    x, best = xs[i], vals[i]
-    a = grid[max(int(np.searchsorted(grid, x)) - 1, 0)]
-    b = grid[min(int(np.searchsorted(grid, x, "right")), GRID_POINTS - 1)]
+    i, k = int(vals[:len(xs) - len(kinks)].argmax()), int(vals.argmax())
+    x, best = xs[k], vals[k]
+    if i != k and stop(float(x), float(best - vals[i]), (hi - lo) / (GRID_POINTS - 1)):
+        return float(x), float(best)
+    a = grid[max(int(np.searchsorted(grid, xs[i])) - 1, 0)]
+    b = grid[min(int(np.searchsorted(grid, xs[i], "right")), GRID_POINTS - 1)]
     for _ in range(_MAX_PASSES):
         xs = _linspace(a, b, PASS_POINTS)
         vals = np.asarray(f_vec(xs), dtype=float)
@@ -93,7 +101,7 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
 
     Row by row these are ``numpy.roots``: leading zeros are dropped, each
     zero at the low end is a root at 0 (listed last), degree 1 and 2 take the
-    stable quadratic formula (a complex pair gives its real part twice), and
+    stable quadratic formula (``_quadratic_roots``), and
     higher degrees the eigenvalues of the companion matrix (Edelman & Murakami,
     *Math. Comp.* 1995), one eigvals call per degree; a row of zeros has none.
     """
@@ -108,13 +116,7 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
         if d == 1:
             out[r, 0] = -p[:, 1] / p[:, 0]
         elif d == 2:
-            a, b, c = p.T
-            disc = b * b - 4.0 * a * c
-            real = disc >= 0.0
-            # q != 0 on real rows, as c != 0; a complex pair's q is -b / 2
-            q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
-            out[r, 0] = q / a
-            out[r, 1] = np.where(real, c / np.where(real, q, 1.0), out[r, 0])
+            out[r, :2] = _quadratic_roots(*p.T[..., None])
         else:
             companion = np.zeros((len(r), d * d))
             companion[:, d::d + 1] = 1.0  # the subdiagonal
@@ -124,3 +126,14 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
         col = np.arange(size - 1) - deg[:, None]
         out[(deg[:, None] >= 0) & (col >= 0) & (col < low[:, None])] = 0.0
     return out
+
+
+def _quadratic_roots(a, b, c) -> np.ndarray:
+    """Real parts of the roots of columns a x^2 + b x + c by the stable formula, in two
+    columns: a complex pair's twice; for a = 0 only the second, c / q; none for a = b = 0."""
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0.0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))  # -b / 2 for a pair
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = q / a
+        return np.concatenate([first, np.where(real, c / q, first)], axis=-1)

@@ -56,8 +56,8 @@ def _parse_tol(text: str) -> float:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0.0 <= tol < math.inf:  # refuses NaN too
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+    if not 0.0 <= tol < 1.0:  # refuses NaN too; at 1 or more every variance counts as 0
+        raise argparse.ArgumentTypeError(f"tolerance must lie in [0, 1), got {text!r}")
     return tol
 
 

@@ -6,7 +6,8 @@ mass at a shared location ``delta``. The largest mass class ``i`` can spare is
 certified bound, sum_i p_i eps_i - max_i p_i eps_i, is maximized over the
 shared location: exactly for two classes, among the real roots of polynomials
 (closed form for two and three moments, companion-matrix eigenvalues beyond),
-by a grid scan refined in batched bracket passes for three or more classes.
+for three or more by a grid scan refined in batched bracket passes, which with
+two or three moments covers the means' hull and the pairwise crossings only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import moments as mm
-from ._search import _real_roots, grid_golden_max
+from ._search import _quadratic_roots, _real_roots, grid_golden_max
 from .errors import InfeasibleSequenceError
 
 _PRIOR_SUM_TOL = 1e-12
@@ -103,14 +104,27 @@ def _objective_vec(priors, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarra
     return vals
 
 
+def _crossings(priors, mean, var) -> np.ndarray:
+    """Deltas (..., 2) where two-moment p_a eps_a = p_b eps_b, for ``priors`` (p_a, p_b)
+    and arrays (2, ..., 1) of ``mean`` and ``var``: roots (or a complex pair's real part)
+    of p_a P_b - p_b P_a, P = 1 / eps = 1 + (t0 + t1 u)^2 in the narrower class's frame u."""
+    narrow, sd = var[0] <= var[1], np.sqrt(var)
+    center, scale = np.where(narrow, mean[0], mean[1]), np.where(narrow, sd[0], sd[1])
+    with np.errstate(all="ignore"):  # a point mass's t is 0 / 0 or infinite: dropped below
+        t0, t1 = (center - mean) / sd, scale / sd
+        inverse = np.array([1.0 + t0 * t0, 2.0 * t0 * t1, t1 * t1])  # P, lowest first
+        c, b, a = priors[0] * inverse[:, 1] - priors[1] * inverse[:, 0]
+        u = _quadratic_roots(a, b, c)
+        return np.where(var.all(0) & np.isfinite(u), center + scale * u, np.nan)
+
+
 def _inverse_mass_poly(mass: mm.SharedMass, center, scale, rows) -> np.ndarray:
     """Both classes' 1/eps(delta) in powers of u = (delta - center) / scale,
-    lowest first, on ``rows`` (0 elsewhere), as (2, rows, 2k + 1). In the frame
+    lowest first, on ``rows`` (0 elsewhere), as (2, rows, 2k + 1), k >= 2. In the frame
     t = (delta - mean) / sd it is c(t), c the anti-diagonal sums of M in v^T M v,
     v = (1, t, .., t^k), M = inv_chol^T inv_chol; t = t0 + t1 u gives u^m the
     coefficient t1^m sum_p C(p + m, m) c_(p+m) t0^p: one product per class."""
-    gram = (np.eye(2)[None] if mass.inv_chol is None
-            else np.swapaxes(mass.inv_chol, -1, -2) @ mass.inv_chol)
+    gram = np.swapaxes(mass.inv_chol, -1, -2) @ mass.inv_chol
     k = gram.shape[-1] - 1
     c = np.zeros((len(gram), 4 * k + 1))  # 0 past c_2k
     for j in range(k + 1):
@@ -134,6 +148,14 @@ def _binomials(k: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _pairs(count: int) -> np.ndarray:
+    """The (2, pairs) indices of ``count`` classes' pairs, built once per count."""
+    pairs = np.array(np.triu_indices(count, 1))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
     """``optimal_shift_two_class`` for each row of two classes: a column."""
     mean1, mean2, var1, var2, *atoms = (c.reshape(-1, 1) for c in (
@@ -141,17 +163,18 @@ def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
     cands = [mean1, mean2] + atoms
     regular = ~np.isfinite(atoms).any(0)  # a pinned class shares mass only at its atoms
     if regular.any():
-        narrow = var1 <= var2
-        center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
-        p = _inverse_mass_poly(mass, center, scale, regular)
-        (p1, p2), deg = p, p.shape[-1] - 1
-        polys = priors[0] * p2 - priors[1] * p1  # the crossings
-        if deg > 2:  # and where each class peaks: P1', P2', zero-padded to the crossing's width
+        if mass.inv_chol is None:  # k = 1: each class peaks at its mean, a crossing is a quadratic
+            d = _crossings(priors, mass.mean.reshape(2, -1, 1), mass.var.reshape(2, -1, 1))
+        else:
+            narrow = var1 <= var2
+            center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
+            p = _inverse_mass_poly(mass, center, scale, regular)
+            (p1, p2), deg = p, p.shape[-1] - 1
+            # the crossings, and where each class peaks: P1', P2', zero-padded
             dp = np.zeros_like(p)
             np.multiply(p[..., 1:], np.arange(1, deg + 1), out=dp[..., :-1])
-            polys = np.concatenate([polys[None], dp]).reshape(-1, deg + 1)
-        roots = list(_real_roots(polys).reshape(-1, len(p1), deg))
-        if deg > 2:
+            polys = np.concatenate([(priors[0] * p2 - priors[1] * p1)[None], dp])
+            roots = list(_real_roots(polys.reshape(-1, deg + 1)).reshape(-1, len(p1), deg))
             # the value at a crossing (a kink) inherits the root's error, and for
             # k >= 2 the composed polynomials carry more rounding than the maps:
             # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
@@ -162,8 +185,8 @@ def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
                 dlog1, dlog2 = ((powers[..., :-1] @ dq[..., :-1, None] / (powers @ q[..., None]))
                                 [..., 0] for q, dq in zip(p, dp))
                 roots.insert(1, u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
-        u = np.concatenate(roots, axis=1)
-        d = np.where(np.isfinite(u), center + scale * u, np.nan)
+            u = np.concatenate(roots, axis=1)
+            d = np.where(np.isfinite(u), center + scale * u, np.nan)
         # one side of a crossing is steep: a neighbour can beat the rounded root
         cands += [d, np.nextafter(d, math.inf), np.nextafter(d, -math.inf)]
     cands = np.concatenate(cands, axis=1)
@@ -203,8 +226,12 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     [min mean - 10 max sd, max mean + 10 max sd] with the means and the atoms
     of pinned classes, then refines the best point's bracket until it no
     longer shrinks in doubles (``_search.grid_golden_max``), so the result
-    scales with the problem's units. If every class is a point mass the
-    candidates are all there is."""
+    scales with the problem's units. With two moments each p_i eps_i rises up
+    to its mean and falls past it, and sum - max rises with each, so the
+    objective rises up to the smallest mean and falls past the largest: only
+    that hull's points are scanned, with every pairwise crossing and its
+    neighbouring doubles as kinks (``_crossings``, ``_kink_is_max``). If every
+    class is a point mass the candidates are all there is."""
     priors = [c.prior for c in classes]
     if len(priors) < 2:
         raise ValueError("need at least two classes")
@@ -216,8 +243,33 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
         vals = _objective_vec(priors, np.array(cands), mass)
         return float(cands[int(np.argmax(vals))])
     lo, hi = min(means) - 10.0 * smax, max(means) + 10.0 * smax
-    x, _ = grid_golden_max(lambda d: _objective_vec(priors, d, mass), lo, hi, extra=cands)
+    span, kinks, stop = None, (), None
+    if mass.inv_chol is None:  # two or three moments
+        pairs = _pairs(len(priors))
+        d = _crossings(np.array(priors)[pairs, None], mass.mean[pairs], mass.var[pairs]).ravel()
+        span, stop = (min(means), max(means)), functools.partial(_kink_is_max, priors, mass)
+        kinks = np.concatenate([d, np.nextafter(d, -math.inf), np.nextafter(d, math.inf)])
+    x, _ = grid_golden_max(lambda d: _objective_vec(priors, d, mass), lo, hi, extra=cands,
+                           span=span, kinks=kinks, stop=stop)
     return float(x)
+
+
+def _kink_is_max(priors, mass: mm.SharedMass, x: float, lead: float, step: float) -> bool:
+    """Whether a winning kink ``x`` ends a two-moment search: (a) the two largest
+    w = p eps meet there (within their rounding and one ulp's change), the slope
+    >= 0 left and <= 0 right; (b) the grid resolves every class: both slopes exceed
+    M step / 4 and x leads the best other scanned point by M step^2 / 8, M = sum
+    2 p / var bounding the curvature between kinks."""
+    w = mass(x, np.reshape(priors, (-1, 1))).ravel().tolist()
+    var = mass.var.ravel().tolist()
+    slopes = [-2.0 * (x - m) / v * wi * (wi / p) if v else 0.0  # d w / d delta
+              for p, m, v, wi in zip(priors, mass.mean.ravel().tolist(), var, w)]
+    bound = 0.25 * step * sum(2.0 * p / v for p, v in zip(priors, var) if v)  # M step / 4
+    second, top = sorted(range(len(w)), key=w.__getitem__)[-2:]
+    low, high = sorted((slopes[top], slopes[second]))  # the top class changes at x
+    gap = w[top] - w[second] - math.ulp(w[top]) - math.ulp(w[second])
+    return (var[top] > 0.0 < var[second] and gap <= math.ulp(x) * (high - low)  # not a spike
+            and min(sum(slopes) - low, high - sum(slopes)) >= bound and lead >= 0.5 * step * bound)
 
 
 def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBoundResult:

@@ -355,7 +355,7 @@ def test_bound_reports_the_trivial_ceiling(tmp_path, capsys):
 #: a bad tolerance before the (missing) problem file is opened
 TOL_CALLS = {"feasibility": ["--moments", "1,0,1"], "bound": ["problem.json"],
              "witness": ["problem.json"]}
-BAD_TOLS = ("nan", "inf", "-1")
+BAD_TOLS = ("nan", "inf", "-1", "1", "10")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -369,7 +369,7 @@ BAD_TOLS = ("nan", "inf", "-1")
     (["sweep", "--priors", "1.5,-0.5"], "prior must lie in (0, 1), got 1.5"),
     (["sweep", "--mu2", "1:2"], "expected FROM:TO:STEP, got '1:2'"),
     (["sweep", "--mu2=a:1:1"], "expected FROM:TO:STEP, got 'a:1:1'"),
-    *([[command, "--tol", tol, *rest], f"tolerance must be finite and nonnegative, got {tol!r}"]
+    *([[command, "--tol", tol, *rest], f"tolerance must lie in [0, 1), got {tol!r}"]
       for command, rest in TOL_CALLS.items() for tol in BAD_TOLS),
     (["bound", "--tol", "abc", "problem.json"], "invalid float value: 'abc'"),
 ], ids=["list_file", "one_class", "no_moments", "priors", "variance", "prior_range", "two_parts",

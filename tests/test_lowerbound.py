@@ -21,7 +21,7 @@ from momentbounds.lowerbound import (
     optimal_shift_numeric,
     optimal_shift_two_class,
 )
-from momentbounds.moments import is_feasible, moments_of, shared_mass, shift_moments
+from momentbounds.moments import SharedMass, is_feasible, moments_of, shared_mass, shift_moments
 
 
 def make_class(prior, mean, var, rng=None):
@@ -410,6 +410,107 @@ def test_numeric_bound_commutes_with_binary_rescaling(atoms, n, weights, k):
     assert base.method is BoundMethod.NUMERIC
     assert moved.value == base.value
     assert moved.delta_star == math.ldexp(base.delta_star, k)
+
+
+def test_three_class_kink_ends_the_search_unrefined(monkeypatch):
+    # N(0, 1), N(2, 1), N(9, 1): 0.3 eps_1 and 0.5 eps_2 cross where d^2 + 6 d - 5 = 0,
+    # at sqrt(14) - 3, a kink of the two largest weighted masses that the scan resolves
+    classes = [ClassSpec(0.3, 0.0, 1.0), ClassSpec(0.5, 2.0, 5.0), ClassSpec(0.2, 9.0, 82.0)]
+    calls = []
+    call = SharedMass.__call__
+    monkeypatch.setattr(SharedMass, "__call__",
+                        lambda self, *args: calls.append(len(args)) or call(self, *args))
+    res = lower_bound(classes, 2)
+    assert abs(res.delta_star - 0.7416573867739413) <= math.ulp(0.7416573867739413)
+    assert abs(res.value - 0.19643159877787586) <= math.ulp(0.19643159877787586)
+    assert len(calls) <= 3  # the scan, the kink's check and the bound's own epsilons
+
+
+def two_moment_classes(G, weights, locs, log_sds, log_scale, offset, wide, point, equal):
+    """G two-moment classes at (offset + loc) * scale with sds 10^log_sd * scale,
+    optionally one 10^4 times wider, one a point mass and two sharing a mean."""
+    scale = 10.0 ** log_scale
+    locs, sds = list(locs[:G]), [10.0 ** x for x in log_sds[:G]]
+    if wide:
+        sds[0] *= 1e4
+    if point:
+        sds[-1] = 0.0
+    if equal:
+        locs[1] = locs[2]
+    head = [w / math.fsum(weights[:G]) for w in weights[:G - 1]]
+    priors = head + [1.0 - math.fsum(head)]
+    return [ClassSpec(p, m, m * m + v) for p, m, v in
+            zip(priors, ((offset + x) * scale for x in locs), ((sd * scale) ** 2 for sd in sds))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 6), *(st.lists(st.floats(*r), min_size=6, max_size=6)
+                            for r in ((0.05, 1.0), (-3.0, 3.0), (-3.0, 3.0))),
+       st.floats(-3.0, 3.0), st.just(0.0) | st.floats(-1e3, 1e3), st.booleans(), st.booleans(),
+       st.booleans())
+def test_two_moment_shift_beats_a_dense_hull_and_every_crossing(G, weights, locs, log_sds,
+                                                               log_scale, offset, wide, point,
+                                                               equal):
+    classes = two_moment_classes(G, weights, locs, log_sds, log_scale, offset, wide, point, equal)
+    priors = [c.prior for c in classes]
+    mass = shared_mass([c.moment_sequence(2) for c in classes])
+    res = lower_bound(classes, 2)
+    lo, hi = min(c.gamma1 for c in classes), max(c.gamma1 for c in classes)
+    assert lo <= res.delta_star <= hi
+    oracle = _objective_vec(priors, np.linspace(lo, hi, 200_001), mass).max()
+    assert res.value >= oracle - 1e-12 * res.value
+    # each pair's p_a var_a (var_b + (d - m_b)^2) - p_b var_b (var_a + (d - m_a)^2) = 0
+    crossings = []
+    for i, a in enumerate(classes):
+        for b in classes[i + 1:]:
+            wa, wb = a.prior * a.sigma2, b.prior * b.sigma2
+            coef = [wa - wb, 2.0 * (wb * a.gamma1 - wa * b.gamma1),
+                    wa * (b.sigma2 + b.gamma1 ** 2) - wb * (a.sigma2 + a.gamma1 ** 2)]
+            crossings += [r.real for r in np.roots(coef) if np.isreal(r)]
+    at_crossings = _objective_vec(priors, np.clip(crossings, lo, hi), mass)
+    assert res.value >= at_crossings.max(initial=0.0) - 4.0 * math.ulp(res.value)
+
+
+def test_two_moment_objective_is_monotone_outside_the_means():
+    # each p_i eps_i rises up to its mean and falls past it, and sum - max rises with
+    # every p_i eps_i: the maximizer of the two-moment objective lies between the means
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        G = int(rng.integers(3, 7))
+        classes = two_moment_classes(G, rng.uniform(0.05, 1.0, 6), rng.uniform(-3.0, 3.0, 6),
+                                     rng.uniform(-1.0, 1.0, 6), rng.uniform(-3.0, 3.0),
+                                     0.0, *(rng.random(3) < 0.3))
+        means = [c.gamma1 for c in classes]
+        smax = max(math.sqrt(c.sigma2) for c in classes)
+        mass = shared_mass([c.moment_sequence(2) for c in classes])
+        left = np.linspace(min(means) - 50.0 * smax, min(means), 5001)
+        right = np.linspace(max(means), max(means) + 50.0 * smax, 5001)
+        for xs, sign in ((left, 1.0), (right, -1.0)):
+            vals = _objective_vec([c.prior for c in classes], xs, mass)
+            assert (sign * np.diff(vals) >= -4.0 * np.spacing(vals[1:])).all()
+
+
+@pytest.mark.parametrize("priors, moments, value", [
+    # a dominant wide class next to narrow ones; two crossings 5e-4 apart in one grid cell
+    ([0.16614672205571132, 0.25637776458929545, 0.11731819801537081, 0.374186247027468,
+      0.0859710683121544],
+     [[0.17110516663688285, 0.0353647894523198], [0.025560160024909732, 0.0071915803140533965],
+      [2.0434508822290143, 94.70506988140848], [-1.6010516382096556, 2.5640370005659197],
+      [-0.844229929951446, 9.85310765618919]], 0.30287156927336123),
+    # the crossing of two lesser classes wins the scan next to a smooth maximum
+    ([0.7387385706030494, 0.09310448559456236, 0.16815694380238821],
+     [[0.2540281128596931, 6764.177661513401], [-0.11073780442757512, 0.03678982709637685],
+      [-0.40119995831181815, 0.46113375974530146]], 0.226992333854527),
+    # a kink that is a local maximum wins, but a higher point hides in a wide grid cell
+    ([0.03913455024108678, 0.3670092048101295, 0.3592033982458346, 0.009977911864909424,
+      0.22467493483803969],
+     [[3.818768966460544, 14.583000236685574], [3.909300807547632, 15.282933830762534],
+      [3.7993001706242255, 14.435138252490246], [4.2497155244823155, 18.06021212421025],
+      [3.115059585748185, 26482.72169716244]], 0.25046813093212683),
+], ids=["two_kinks_in_a_cell", "lesser_crossing", "hidden_by_a_cell"])
+def test_numeric_shift_keeps_its_value_on_hard_problems(priors, moments, value):
+    res = lower_bound([ClassSpec.from_moments(p, m) for p, m in zip(priors, moments)], 2)
+    assert abs(res.value - value) <= 2.0 * math.ulp(value)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
