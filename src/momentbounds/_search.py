@@ -62,18 +62,22 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), sto
     lo, hi = float(lo), float(hi)
     if hi < lo:
         raise ValueError("empty search interval")
-    grid = _linspace(lo, hi, GRID_POINTS)
     a, b = span or (lo, hi)
+    step, j0, j1 = (hi - lo) / (GRID_POINTS - 1), 0, GRID_POINTS
+    if span and step > 8.0 * np.spacing(max(-lo, hi)):
+        # points rise, within 1.5 ulps of lo + i step: x's index is within 3 of (x - lo) / step
+        j0, j1 = max(int((a - lo) / step) - 4, 0), min(int((b - lo) / step) + 6, GRID_POINTS)
+    grid = _linspace(lo, hi, GRID_POINTS, j0, j1)
     i0, i1 = np.searchsorted(grid, (a, b)) + (-1, 2)  # one more past each end
     cands = np.fmin(np.fmax(np.concatenate([extra, kinks]), a), b)  # a NaN kink becomes a
     xs = np.concatenate([grid[max(i0, 0):i1], cands])
     vals = np.asarray(f_vec(xs), dtype=float)
     i, k = int(vals[:len(xs) - len(kinks)].argmax()), int(vals.argmax())
     x, best = xs[k], vals[k]
-    if i != k and stop(float(x), float(best - vals[i]), (hi - lo) / (GRID_POINTS - 1)):
+    if i != k and stop(float(x), float(best - vals[i]), step):
         return float(x), float(best)
     a = grid[max(int(np.searchsorted(grid, xs[i])) - 1, 0)]
-    b = grid[min(int(np.searchsorted(grid, xs[i], "right")), GRID_POINTS - 1)]
+    b = grid[min(int(np.searchsorted(grid, xs[i], "right")), len(grid) - 1)]
     for _ in range(_MAX_PASSES):
         xs = _linspace(a, b, PASS_POINTS)
         vals = np.asarray(f_vec(xs), dtype=float)
@@ -87,12 +91,13 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), sto
     return float(x), float(best)
 
 
-def _linspace(a: float, b: float, num: int) -> np.ndarray:
-    """``np.linspace(a, b, num <= GRID_POINTS)`` in its arithmetic, without its overhead."""
-    steps, step = _STEPS[:num], (b - a) / (num - 1)
+def _linspace(a: float, b: float, num: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """``np.linspace(a, b, num <= GRID_POINTS)[start:stop]``: its arithmetic, not its overhead."""
+    steps, step = _STEPS[start:stop or num], (b - a) / (num - 1)
     xs = steps * step if step else steps / (num - 1) * (b - a)  # a step underflowing to 0
     xs += a
-    xs[-1] = b
+    if (stop or num) == num:
+        xs[-1] = b
     return xs
 
 

@@ -219,9 +219,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"prior must lie in (0, 1), got {bad[0]}")
     s2sq = np.repeat(args.sigma2sq, len(args.mu2))
     mu2 = np.tile(args.mu2, len(args.sigma2sq))
+    seq = np.empty((2, len(mu2), 3))
+    seq[0], seq[1, :, 0], seq[1, :, 1] = (1.0, 0.0, args.sigma1sq), 1.0, mu2
     with np.errstate(over="ignore"):  # refused by shared_mass as a non-finite moment
-        seq = np.stack([np.broadcast_to([1.0, 0.0, args.sigma1sq], (len(mu2), 3)),
-                        np.stack([np.ones_like(mu2), mu2, mu2 * mu2 + s2sq], axis=-1)])
+        seq[1, :, 2] = mu2 * mu2 + s2sq
     mass = mm.shared_mass(seq)
     low, up = _two_class_rows(priors, mass)[3], _upper_rows(priors, mass.mean, mass.var)[0]
     lines = ["mu2,sigma2sq,lower,upper,gaussian"]

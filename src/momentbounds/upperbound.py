@@ -7,6 +7,7 @@ sharpened Chebyshev-Cantelli inequality). Minimizing the resulting worst-case
 two-class error over the threshold location upper-bounds the supremum Bayes
 error of any pair of distributions with the given moments. The lower bound's
 map has these means and variances, so lower <= upper exactly for n = 2 and 3.
+A pair whose tails at each other's means outweigh the smaller prior skips the quintic.
 """
 
 from __future__ import annotations
@@ -52,22 +53,44 @@ def _upper_rows(priors, mean, var):
     """``upper_bound``'s value, threshold and clipped flag for every row at
     once, as columns, from the checked ``priors`` and the two classes' ``mean``
     and ``var`` columns (a class axis first): each class's half-line tail is
-    the two-moment map of those, a point mass's atom its mean."""
+    the two-moment map of those, a point mass's atom its mean.
+
+    A row is decided, the limit, before its quintic is formed when the floor
+    p1 eps1(mu2) + p2 eps2(mu1), in the map's arithmetic, clears it by 32 ulps:
+    rounding is monotone, so every candidate between the means, or rounded a
+    few ulps past b's mean, errs by more. Past it, near = q_a^(2/3) errs by
+    p_b + p_a eps_a, eps_a >= near / (4 + 4 near) as rounding at most doubles
+    its distance from a's mean. Unless near > 128 ulps that can tie a limit
+    p_b, a tie the interior wins, so the row is decided only if near < g.
+    """
     mean, var = (np.reshape(x, (2, -1, 1)) for x in (mean, var))
-    (mu1, mu2), (var1, var2), (p1, p2) = mean, var, priors
+    (mu1, mu2), (p1, p2) = mean, priors
     left = mu1 <= mu2
-    p_lo, mu_lo, var_lo, p_hi, mu_hi, var_hi = (
-        np.where(left, x, y) for x, y in zip((p1, mu1, var1, p2, mu2, var2),
-                                             (p2, mu2, var2, p1, mu1, var1)))
-    gap = mu_hi - mu_lo
+    gap = np.abs(mu2 - mu1)
     inner = gap > 0.0
-    sd_lo, sd_hi = np.sqrt(var_lo), np.sqrt(var_hi)
+    sd1, sd2 = sd = np.sqrt(var)
     # equal means have no interior threshold: their sds keep the unused coefficients finite
-    unit = np.maximum(np.maximum(gap, sd_lo), sd_hi)
+    unit = np.maximum(np.maximum(gap, sd1), sd2)
     unit = np.where(unit > 0.0, unit, 1.0)
     # x: distance from the narrower class a toward b, in units that keep
     # every coefficient of order one and a's q_a^2 clear of g^2
-    q_lo, q_hi, g = sd_lo / unit, sd_hi / unit, gap / unit
+    (q1, q2), g = sd / unit, gap / unit
+    # next to a class of negligible variance the error dips within about
+    # q_a^(2/3) of its mean, too close for the eigenvalues once q_a < 1e-32
+    near = np.cbrt(np.minimum(q1, q2)) ** 2
+    # a threshold at -inf (+inf) gives the line to the upper (lower) class and
+    # errs by the other's prior; an interior threshold wins ties
+    limit = min(p1, p2)
+    s_limit = np.where(np.where(left, p1 <= p2, p2 <= p1), -math.inf, math.inf)
+    with np.errstate(all="ignore"):  # an overflowing gap^2 gives 0, below the map's tail
+        m1, m2 = var / (var + gap * gap)
+    decided = ~inner | ((p1 * m1 + p2 * m2 > max(limit, mm._TINY) * (1.0 + 32.0 * mm._EPS))
+                        & ((near < g) | (near > 128.0 * mm._EPS)))
+    if decided.all():
+        return np.full_like(gap, limit), s_limit, decided
+    p_lo, mu_lo, q_lo, p_hi, mu_hi, q_hi = (
+        np.where(left, x, y) for x, y in zip((p1, mu1, q1, p2, mu2, q2),
+                                             (p2, mu2, q2, p1, mu1, q1)))
     a_lo = q_lo <= q_hi
     q_a, q_b = np.where(a_lo, q_lo, q_hi), np.where(a_lo, q_hi, q_lo)
     p_a, p_b = np.where(a_lo, p_lo, p_hi), np.where(a_lo, p_hi, p_lo)
@@ -78,20 +101,14 @@ def _upper_rows(priors, mean, var):
     poly = np.concatenate([w_a * u + w_b * v for u, v in zip(
         (0.0, b0 * b0, 2.0 * (b0 * b1), (b0 + b1 * b1) + b0, 2.0 * b1, 1.0),
         (-g * (a0 * a0), a0 * a0, -g * (2.0 * a0), 2.0 * a0, -g, 1.0))], axis=1)
-    x = _real_roots(np.where(inner, poly, 0.0))
-    # next to a class of negligible variance the error dips within about
-    # q_a^(2/3) of its mean, too close for the eigenvalues once q_a < 1e-32
-    x = np.concatenate([np.where((x > 0.0) & (x < g), x, np.nan), np.cbrt(q_a) ** 2], axis=1)
+    x = _real_roots(np.where(decided, 0.0, poly))
+    x = np.concatenate([np.where((x > 0.0) & (x < g), x, np.nan), near], axis=1)
     s = np.concatenate([np.where(a_lo, mu_lo, mu_hi) + np.where(a_lo, 1.0, -1.0) * unit * x,
                         np.nextafter(mu_lo, math.inf), np.nextafter(mu_hi, -math.inf)], axis=1)
     errors = _worst_error_vec(priors, s, mm._two_moment_map(mean, var))
     i = np.arange(len(s)), np.where(np.isnan(s), np.inf, errors).argmin(axis=1)
     err, s_in = errors[i][:, None], s[i][:, None]
-    # a threshold at -inf (+inf) gives the line to the upper (lower) class and
-    # errs by the other's prior; an interior threshold wins ties
-    limit = np.minimum(p_lo, p_hi)
     interior = inner & (err <= limit)
-    s_limit = np.where(p_lo <= p_hi, -math.inf, math.inf)
     return np.where(interior, err, limit), np.where(interior, s_in, s_limit), ~interior
 
 
@@ -104,8 +121,10 @@ def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     p_lo sigma_lo^2 (s - mu_lo) D_hi^2 + p_hi sigma_hi^2 (s - mu_hi) D_lo^2
     (companion-matrix eigenvalues). A zero-variance class has its infimum,
     not attained, one ulp inside its mean. Outside the means the error never
-    beats the s -> +/-inf limits, the class priors, which are candidates too.
-    A finite ``s_star`` is a threshold whose error is the value. Equal
+    beats the s -> +/-inf limits, the class priors, which are candidates too,
+    lose ties to an interior threshold and win unsolved where the error between
+    the means is at least a floor above them (``_upper_rows``). A finite
+    ``s_star`` is a threshold whose error is the value. Equal
     variances and priors give min{4 sigma^2 / (4 sigma^2 + gap^2), 1/2}.
     """
     if c1.gamma2 is None or c2.gamma2 is None:

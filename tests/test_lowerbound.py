@@ -548,6 +548,36 @@ def test_search_points_are_linspace_bit_for_bit(num):
         assert _linspace(a, b, num).tobytes() == np.linspace(a, b, num).tobytes(), (a, b)
 
 
+def test_span_scan_forms_the_full_grids_points():
+    # a grid coarser than the doubles forms only the span's points and the
+    # bracket's from their indices: both must be the full grid's, located by
+    # searchsorted; on a finer grid the whole grid is formed
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        unit = 10.0 ** rng.uniform(-30.0, 30.0)
+        lo = unit * rng.normal() * 10.0 ** rng.choice([0.0, rng.uniform(0.0, 16.0)])
+        hi = lo + unit * rng.uniform(0.5, 20.0)
+        grid = np.linspace(lo, hi, GRID_POINTS)
+        a, b = np.sort(rng.uniform(lo, hi, 2))
+        if rng.random() < 0.5:  # the span's ends on grid points, its maximum at one
+            a, b = grid[np.sort(rng.integers(0, GRID_POINTS, 2))]
+        c = rng.choice([rng.uniform(a, b), a, b])
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return -np.square(x - c)
+
+        grid_golden_max(f, lo, hi, extra=[], span=(a, b))
+        i0, i1 = np.searchsorted(grid, (a, b)) + (-1, 2)
+        scan = grid[max(i0, 0):i1]
+        x = scan[np.argmax(f(scan))]
+        ends = (grid[max(int(np.searchsorted(grid, x)) - 1, 0)],
+                grid[min(int(np.searchsorted(grid, x, "right")), GRID_POINTS - 1)])
+        assert calls[0].tobytes() == scan.tobytes(), (lo, hi, a, b)
+        assert calls[1].tobytes() == _linspace(*ends, PASS_POINTS).tobytes(), (lo, hi, a, b)
+
+
 def test_real_roots_of_low_degree_match_numpy_roots():
     # one batch, lowest coefficient first: degrees 1 and 2 are solved in closed
     # form, 3 and 4 by eigenvalues, 0 marks a row of zeros (no roots)

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentbounds import ClassSpec, DiscreteMeasure, lower_bound, upper_bound
+from momentbounds import upperbound
 from momentbounds.moments import moments_of, shared_mass
-from momentbounds.upperbound import _worst_error_vec
+from momentbounds.upperbound import _upper_rows, _worst_error_vec
 
 
 def make_class(prior, mean, var):
@@ -240,3 +241,48 @@ def test_upper_bound_is_never_beaten_by_a_grid(p1, m1, m2, v1, v2):
     assert res.value <= float(worst_error_vec(c1, c2, s).min()) + 1e-12
     if not res.clipped:
         assert worst_error(c1, c2, res.s_star) == res.value
+
+
+def test_upper_bound_tie_goes_to_the_interior_threshold():
+    # q_a^(2/3) = 1e-16 lies past the wide class's mean, where the error
+    # 0.5 + 0.5 * 1e-16 rounds to the limit 0.5: the interior threshold wins
+    res = upper_bound(ClassSpec(0.5, 0.0, 1e-48), ClassSpec(0.5, 1e-19, 1.0))
+    assert (res.value, res.s_star, res.clipped) == (0.5, 1.0000000000000001e-16, False)
+
+
+@pytest.mark.parametrize("c1,c2,expected,solves", [
+    # floor 0.3 / 5 + 0.7 * 5 / 9 = 0.449 > 0.3: the limit wins unsolved
+    (ClassSpec(0.3, 0.0, 1.0), ClassSpec(0.7, 2.0, 9.0), (0.3, -math.inf, True), 0),
+    # N(0,1) against N(2,1): the floor 0.2 is below 0.5, and s = 1 ties it
+    (make_class(0.5, 0.0, 1.0), make_class(0.5, 2.0, 1.0), (0.5, 0.9999999999999997, False), 1),
+])
+def test_upper_bound_solves_the_quintic_only_when_a_threshold_can_win(
+        monkeypatch, c1, c2, expected, solves):
+    calls = []
+    real_roots = upperbound._real_roots
+    monkeypatch.setattr(upperbound, "_real_roots", lambda c: calls.append(c) or real_roots(c))
+    res = upper_bound(c1, c2)
+    assert (res.value, res.s_star, res.clipped) == expected
+    assert len(calls) == solves
+
+
+PRIOR_PAIRS = [(0.5, 0.5), (0.3, 0.7), (0.7, 0.3), (0.1, 0.9)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(PRIOR_PAIRS), st.floats(-20.0, 20.0), st.floats(-1.0, 1.0),
+       st.just(None) | st.floats(-20.0, 1.0), st.booleans(),
+       st.lists(st.just(None) | st.floats(-60.0, 6.0), min_size=2, max_size=2))
+@example((0.5, 0.5), 0.0, 0.0, -19.0, True, [-48.0, 0.0])  # the tie above
+def test_upper_rows_decide_a_row_as_a_batch_does(priors, scale, center, gap, up, variances):
+    # a decided row returns early alone; in a batch with an open row its
+    # quintic is zeroed and its other candidates still evaluated
+    unit = 10.0 ** scale
+    m1 = center * unit
+    m2 = m1 if gap is None else m1 + math.copysign(10.0 ** gap * unit, 1.0 if up else -1.0)
+    v = [0.0 if e is None else 10.0 ** e * unit * unit for e in variances]
+    alone = _upper_rows(priors, [m1, m2], v)
+    batch = _upper_rows(priors, [[0.0, m1], [100.0, m2]], [[1.0, v[0]], [1.0, v[1]]])
+    assert not batch[2][0, 0]  # the open row
+    for one, rows in zip(alone, batch):
+        assert one[0, 0] == rows[1, 0]
