@@ -5,9 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_INVPHI = (5.0 ** 0.5 - 1.0) / 2.0
-_MAX_GOLDEN_ITER = 200
-
 #: points of the coarse scan.
 GRID_POINTS = 10_001
 _STEPS = np.arange(GRID_POINTS, dtype=float)
@@ -20,28 +17,10 @@ PASS_POINTS = 33
 _MAX_PASSES = 100
 
 
-# unused by the package; the bench wraps it by name until its probes move into the package
-def golden_max(f, lo: float, hi: float, width: float = 1e-10):
-    """Golden-section maximization of a scalar function on [lo, hi]: shrinks
-    the bracket below ``width`` and returns (argmax, value), a local maximum
-    inside [lo, hi] where f is not unimodal."""
-    a, b = float(lo), float(hi)
-    if b - a > width:
-        c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(_MAX_GOLDEN_ITER):
-            if b - a <= width:
-                break
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def golden_max(f, lo: float, hi: float):
+    """``grid_golden_max`` of a scalar function on [lo, hi]; returns (argmax, value).
+    Unused by the package: the bench wraps it by name until the package has probes."""
+    return grid_golden_max(np.vectorize(f, otypes=[float]), lo, hi, extra=())
 
 
 def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), stop=None):
@@ -51,8 +30,8 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), sto
     The interval is scanned on ``GRID_POINTS`` equispaced points (those in a
     ``span`` known to hold the maximizer, by default the interval, and one past
     each end) with the ``extra`` candidates and the ``kinks``, clipped into the
-    span, in one call. A winning kink that ``stop`` accepts, given its lead
-    over the best other point and the grid step, is returned. Otherwise the
+    span, in one call. A winning kink that ``stop``, if any, accepts, given its
+    lead over the best other point and the grid step, is returned. Otherwise the
     grid points on either side of the best other point bracket it; each pass
     then scans the bracket on ``PASS_POINTS`` points in one call and keeps the
     neighbours of that pass's best point, until the bracket no longer shrinks
@@ -74,7 +53,7 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), sto
     vals = np.asarray(f_vec(xs), dtype=float)
     i, k = int(vals[:len(xs) - len(kinks)].argmax()), int(vals.argmax())
     x, best = xs[k], vals[k]
-    if i != k and stop(float(x), float(best - vals[i]), step):
+    if i != k and stop and stop(float(x), float(best - vals[i]), step):
         return float(x), float(best)
     a = grid[max(int(np.searchsorted(grid, xs[i])) - 1, 0)]
     b = grid[min(int(np.searchsorted(grid, xs[i], "right")), len(grid) - 1)]

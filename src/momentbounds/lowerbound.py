@@ -118,9 +118,9 @@ def _crossings(priors, mean, var) -> np.ndarray:
         return np.where(var.all(0) & np.isfinite(u), center + scale * u, np.nan)
 
 
-def _inverse_mass_poly(mass: mm.SharedMass, center, scale, rows) -> np.ndarray:
+def _inverse_mass_poly(mass: mm.SharedMass, center, scale) -> np.ndarray:
     """Both classes' 1/eps(delta) in powers of u = (delta - center) / scale,
-    lowest first, on ``rows`` (0 elsewhere), as (2, rows, 2k + 1), k >= 2. In the frame
+    lowest first, as (2, 1, 2k + 1), of one unpinned problem's map, k >= 2. In the frame
     t = (delta - mean) / sd it is c(t), c the anti-diagonal sums of M in v^T M v,
     v = (1, t, .., t^k), M = inv_chol^T inv_chol; t = t0 + t1 u gives u^m the
     coefficient t1^m sum_p C(p + m, m) c_(p+m) t0^p: one product per class."""
@@ -131,12 +131,10 @@ def _inverse_mass_poly(mass: mm.SharedMass, center, scale, rows) -> np.ndarray:
         c[:, j:j + k + 1] += gram[:, j]
     s = np.arange(2 * k + 1)
     taylor = c[:, s[:, None] + s] * _binomials(k)
-    # the other rows' t is u: their own can overflow, or be 0 / 0 at a point mass
-    mean = np.where(rows, mass.mean.reshape(2, -1, 1), center)
-    sd = np.sqrt(np.where(rows, mass.var.reshape(2, -1, 1), 1.0))
-    t = np.concatenate([(center - mean) / sd, np.where(rows, scale / sd, 1.0)])
+    sd = np.sqrt(mass.var.reshape(2, -1, 1))
+    t = np.concatenate([(center - mass.mean.reshape(2, -1, 1)) / sd, scale / sd])
     t0, t1 = np.vander(t.ravel(), 2 * k + 1, increasing=True).reshape(2, 2, -1, 2 * k + 1)
-    return np.where(rows, (t0 @ taylor) * t1, 0.0)
+    return (t0 @ taylor) * t1
 
 
 @functools.cache
@@ -157,7 +155,8 @@ def _pairs(count: int) -> np.ndarray:
 
 
 def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
-    """``optimal_shift_two_class`` for each row of two classes: a column."""
+    """``optimal_shift_two_class`` for each row of ``mass``, a two-class map, as a
+    column: many rows at k = 1 (the sweep), one problem at k >= 2 (per-class Gram matrices)."""
     mean1, mean2, var1, var2, *atoms = (c.reshape(-1, 1) for c in (
         *mass.mean, *mass.var, *(x[i] for i in range(2) for x, _ in mass.atoms)))
     cands = [mean1, mean2] + atoms
@@ -168,7 +167,7 @@ def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
         else:
             narrow = var1 <= var2
             center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
-            p = _inverse_mass_poly(mass, center, scale, regular)
+            p = _inverse_mass_poly(mass, center, scale)
             (p1, p2), deg = p, p.shape[-1] - 1
             # the crossings, and where each class peaks: P1', P2', zero-padded
             dp = np.zeros_like(p)
@@ -230,7 +229,8 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     to its mean and falls past it, and sum - max rises with each, so the
     objective rises up to the smallest mean and falls past the largest: only
     that hull's points are scanned, with every pairwise crossing and its
-    neighbouring doubles as kinks (``_crossings``, ``_kink_is_max``). If every
+    neighbouring doubles as kinks (``_crossings``, ``_kink_is_max``); with four or more
+    moments each pair's exact shift (``_shift_two_class``) is a kink. If every
     class is a point mass the candidates are all there is."""
     priors = [c.prior for c in classes]
     if len(priors) < 2:
@@ -243,12 +243,15 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
         vals = _objective_vec(priors, np.array(cands), mass)
         return float(cands[int(np.argmax(vals))])
     lo, hi = min(means) - 10.0 * smax, max(means) + 10.0 * smax
-    span, kinks, stop = None, (), None
+    pairs, span, stop = _pairs(len(priors)), None, None
     if mass.inv_chol is None:  # two or three moments
-        pairs = _pairs(len(priors))
         d = _crossings(np.array(priors)[pairs, None], mass.mean[pairs], mass.var[pairs]).ravel()
         span, stop = (min(means), max(means)), functools.partial(_kink_is_max, priors, mass)
         kinks = np.concatenate([d, np.nextafter(d, -math.inf), np.nextafter(d, math.inf)])
+    else:  # each pair's exact two-class shift, one map of one pair per call
+        kinks = np.concatenate([_shift_two_class(np.array(priors)[pair], mm.SharedMass(
+            mass.mean[pair], mass.var[pair], mass.inv_chol[pair],
+            tuple((x[pair], w[pair]) for x, w in mass.atoms))).ravel() for pair in pairs.T])
     x, _ = grid_golden_max(lambda d: _objective_vec(priors, d, mass), lo, hi, extra=cands,
                            span=span, kinks=kinks, stop=stop)
     return float(x)

@@ -88,12 +88,9 @@ def _upper_rows(priors, mean, var):
                         & ((near < g) | (near > 128.0 * mm._EPS)))
     if decided.all():
         return np.full_like(gap, limit), s_limit, decided
-    p_lo, mu_lo, q_lo, p_hi, mu_hi, q_hi = (
-        np.where(left, x, y) for x, y in zip((p1, mu1, q1, p2, mu2, q2),
-                                             (p2, mu2, q2, p1, mu1, q1)))
-    a_lo = q_lo <= q_hi
-    q_a, q_b = np.where(a_lo, q_lo, q_hi), np.where(a_lo, q_hi, q_lo)
-    p_a, p_b = np.where(a_lo, p_lo, p_hi), np.where(a_lo, p_hi, p_lo)
+    a1 = np.where(left, q1 <= q2, q1 < q2)  # class 1 is a: the narrower, the lower mean on a tie
+    q_a, q_b = np.where(a1, q1, q2), np.where(a1, q2, q1)
+    p_a, p_b = np.where(a1, p1, p2), np.where(a1, p2, p1)
     # p_a q_a^2 x D_b^2 + p_b q_b^2 (x - g) D_a^2, D_a = q_a^2 + x^2 and
     # D_b = b0 + b1 x + x^2, each coefficient rounded as np.convolve rounds it
     a0, b0, b1 = q_a * q_a, q_b * q_b + g * g, -2.0 * g
@@ -103,8 +100,9 @@ def _upper_rows(priors, mean, var):
         (-g * (a0 * a0), a0 * a0, -g * (2.0 * a0), 2.0 * a0, -g, 1.0))], axis=1)
     x = _real_roots(np.where(decided, 0.0, poly))
     x = np.concatenate([np.where((x > 0.0) & (x < g), x, np.nan), near], axis=1)
-    s = np.concatenate([np.where(a_lo, mu_lo, mu_hi) + np.where(a_lo, 1.0, -1.0) * unit * x,
-                        np.nextafter(mu_lo, math.inf), np.nextafter(mu_hi, -math.inf)], axis=1)
+    s = np.concatenate([np.where(a1, mu1, mu2) + np.where(a1 == left, 1.0, -1.0) * unit * x,
+                        np.nextafter(np.minimum(mu1, mu2), math.inf),
+                        np.nextafter(np.maximum(mu1, mu2), -math.inf)], axis=1)
     errors = _worst_error_vec(priors, s, mm._two_moment_map(mean, var))
     i = np.arange(len(s)), np.where(np.isnan(s), np.inf, errors).argmin(axis=1)
     err, s_in = errors[i][:, None], s[i][:, None]

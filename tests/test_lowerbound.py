@@ -1,5 +1,6 @@
 """Tests for the shared-mass lower bound and its shift optimization."""
 
+import itertools
 import math
 import warnings
 
@@ -15,7 +16,14 @@ from momentbounds import (
     InfeasibleSequenceError,
     lower_bound,
 )
-from momentbounds._search import GRID_POINTS, PASS_POINTS, _linspace, _real_roots, grid_golden_max
+from momentbounds._search import (
+    GRID_POINTS,
+    PASS_POINTS,
+    _linspace,
+    _real_roots,
+    golden_max,
+    grid_golden_max,
+)
 from momentbounds.lowerbound import (
     _objective_vec,
     optimal_shift_numeric,
@@ -511,6 +519,51 @@ def test_two_moment_objective_is_monotone_outside_the_means():
 def test_numeric_shift_keeps_its_value_on_hard_problems(priors, moments, value):
     res = lower_bound([ClassSpec.from_moments(p, m) for p, m in zip(priors, moments)], 2)
     assert abs(res.value - value) <= 2.0 * math.ulp(value)
+
+
+def test_numeric_shift_finds_narrow_classes_next_to_a_wide_one():
+    # n = 4: the grid spans +-10 sd of the wide class, the narrow classes'
+    # maximum near -2.6 falls between its points, and each pair's exact shift
+    # finds it (0.0731 at delta* 1.655 from the grid alone)
+    priors = [0.37309113806586436, 0.08763176138657834, 0.5392771005475573]
+    moments = [[-109.59298315850454, 198479.8347570174, -80999778.9474727, 91715077295.12653],
+               [1.650843811604899, 2.7256094097327734, 4.500620584964265, 7.432447499535442],
+               [-2.893380365103721, 8.421872903364282, -24.652470597739022, 72.543207916336]]
+    res = lower_bound([ClassSpec.from_moments(p, m) for p, m in zip(priors, moments)], 4)
+    assert res.value >= 0.1996
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_numeric_shift_beats_every_pairs_exact_shift(n):
+    # G = 3-5 classes, one 10-1,000 times wider than the others
+    rng = np.random.default_rng(n)
+    for _ in range(15):
+        G = int(rng.integers(3, 6))
+        sds, means = 10.0 ** rng.uniform(-2.0, 0.0, G), rng.uniform(-3.0, 3.0, G)
+        wide = int(rng.integers(G))
+        sds[wide] = np.delete(sds, wide).max() * 10.0 ** rng.uniform(1.0, 3.0)
+        means[wide] += rng.uniform(-1.0, 1.0) * sds[wide]
+        priors = rng.dirichlet(np.full(G, 2.0)) * 0.9 + 0.1 / G
+        classes = [atomic_class(p, list(zip(m + s * rng.normal(size=6),
+                                            rng.dirichlet(np.full(6, 3.0)))))
+                   for p, m, s in zip(priors, means, sds)]
+        mass = shared_mass([c.moment_sequence(n) for c in classes])
+        value = lower_bound(classes, n).value
+        for pair in itertools.combinations(classes, 2):
+            d = optimal_shift_two_class(*pair, shared_mass([c.moment_sequence(n) for c in pair]))
+            at_pair = _objective_vec(priors, np.array([d]), mass)[0]
+            assert value >= at_pair * (1.0 - 1e-15), (G, value, at_pair)
+
+
+@pytest.mark.parametrize("f, lo, hi, peak", [
+    (lambda x: 1.0 - (x - 0.3) ** 2, -2.0, 5.0, 0.3),
+    # a lower local maximum at -1, which a bracket search on [-4, 4] would keep
+    (lambda x: max(1.0 - (x + 1.0) ** 2, 2.0 - 4.0 * (x - 2.5) ** 2), -4.0, 4.0, 2.5),
+], ids=["unimodal", "bimodal"])
+def test_golden_max_finds_a_scalar_functions_maximum(f, lo, hi, peak):
+    x, value = golden_max(f, lo, hi)
+    assert abs(x - peak) <= 1e-7
+    assert value == f(x) >= f(peak) - 2.0 * math.ulp(f(peak))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

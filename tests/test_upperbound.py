@@ -266,6 +266,26 @@ def test_upper_bound_solves_the_quintic_only_when_a_threshold_can_win(
     assert len(calls) == solves
 
 
+def test_upper_bound_does_not_depend_on_the_class_order():
+    # either order takes the narrower class (the lower mean on a tie) as a, so
+    # it forms the same quintic and candidates; with equal means the limit's
+    # side follows the first class's prior
+    rng = np.random.default_rng(2011)
+    for _ in range(1000):
+        scale = 10.0 ** rng.uniform(-20.0, 20.0)
+        p, (m1, m2) = rng.uniform(0.02, 0.98), rng.normal(size=2) * scale
+        v1, v2 = scale * scale * 10.0 ** rng.uniform(-60.0, 2.0, 2)
+        u = rng.random(4)
+        v1, v2 = 0.0 if u[0] < 0.05 else v1, 0.0 if u[1] < 0.05 else v2  # point masses
+        m2 = m1 if u[2] < 0.05 else m2
+        if u[3] < 0.1:  # (-m1)^2 + v1 rounds as m1^2 + v1 does: equal variances
+            m2, v2 = -m1, v1
+        a, b = make_class(p, m1, v1), make_class(1.0 - p, m2, v2)
+        ab, ba = upper_bound(a, b), upper_bound(b, a)
+        assert (ab.value, ab.clipped) == (ba.value, ba.clipped), (a, b)
+        assert m1 == m2 or ab.s_star == ba.s_star, (a, b)
+
+
 PRIOR_PAIRS = [(0.5, 0.5), (0.3, 0.7), (0.7, 0.3), (0.1, 0.9)]
 
 
