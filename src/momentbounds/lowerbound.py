@@ -7,7 +7,8 @@ certified bound, sum_i p_i eps_i - max_i p_i eps_i, is maximized over the
 shared location: exactly for two classes, among the real roots of polynomials
 (closed form for two and three moments, companion-matrix eigenvalues beyond),
 for three or more by a grid scan refined in batched bracket passes, which with
-two or three moments covers the means' hull and the pairwise crossings only.
+two or three moments covers the means' hull and the pairwise crossings only,
+and with four or more takes every class pair's two-class candidates as kinks.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class LowerBoundResult:
 
 def _objective_vec(priors, deltas: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
     """sum - max over the class axis of p_i eps_i(delta) at each delta, eps
-    from ``mass``, the classes' shared-mass map, p from ``priors``."""
-    w = mass(deltas, np.array(priors).reshape((-1,) + (1,) * (mass.mean.ndim - 1)))
+    from ``mass``, the classes' shared-mass map, p from ``priors``, shaped like the
+    map's leading axes: (G,), or (2, rows, 1) for a two-class map of many rows."""
+    w = mass(deltas, np.array(priors).reshape((len(priors), -1) + (1,) * (mass.mean.ndim - 2)))
     vals = np.add.reduce(w, 0)  # adds the class rows in order
     vals -= np.maximum.reduce(w, 0)
     return vals
@@ -119,31 +121,25 @@ def _crossings(priors, mean, var) -> np.ndarray:
 
 
 def _inverse_mass_poly(mass: mm.SharedMass, center, scale) -> np.ndarray:
-    """Both classes' 1/eps(delta) in powers of u = (delta - center) / scale,
-    lowest first, as (2, 1, 2k + 1), of one unpinned problem's map, k >= 2. In the frame
-    t = (delta - mean) / sd it is c(t), c the anti-diagonal sums of M in v^T M v,
-    v = (1, t, .., t^k), M = inv_chol^T inv_chol; t = t0 + t1 u gives u^m the
-    coefficient t1^m sum_p C(p + m, m) c_(p+m) t0^p: one product per class."""
-    gram = np.swapaxes(mass.inv_chol, -1, -2) @ mass.inv_chol
-    k = gram.shape[-1] - 1
-    c = np.zeros((len(gram), 4 * k + 1))  # 0 past c_2k
-    for j in range(k + 1):
-        c[:, j:j + k + 1] += gram[:, j]
-    s = np.arange(2 * k + 1)
-    taylor = c[:, s[:, None] + s] * _binomials(k)
+    """Both classes' 1/eps(delta) in powers of u = (delta - center) / scale, lowest first,
+    as (2, rows, 2k + 1), for each row of ``mass``, a two-class map with k >= 2. With
+    t = (delta - mean) / sd = t0 + t1 u, 1/eps = |L^-1 v|^2, v = (1, t, .., t^k) = T (1, u,
+    .., u^k), row m of T the coefficients of (t0 + t1 u)^m: u^j's coefficient is the j-th
+    anti-diagonal sum of (L^-1 T)^T (L^-1 T), L^-1 the map's ``inv_chol``."""
+    k = mass.inv_chol.shape[-1] - 1
     sd = np.sqrt(mass.var.reshape(2, -1, 1))
-    t = np.concatenate([(center - mass.mean.reshape(2, -1, 1)) / sd, scale / sd])
-    t0, t1 = np.vander(t.ravel(), 2 * k + 1, increasing=True).reshape(2, 2, -1, 2 * k + 1)
-    return (t0 @ taylor) * t1
-
-
-@functools.cache
-def _binomials(k: int) -> np.ndarray:
-    """The (2k + 1)^2 table C(p + m, m), p and m = 0 .. 2k, built once per k."""
-    n = range(2 * k + 1)
-    table = np.array([[math.comb(p + m, m) for m in n] for p in n], dtype=float)
-    table.flags.writeable = False
-    return table
+    t0, t1 = (center - mass.mean.reshape(2, -1, 1)) / sd, scale / sd
+    power = np.zeros(t0.shape[:2] + (k + 1, k + 1))
+    power[..., 0, 0] = 1.0
+    for m in range(1, k + 1):  # T_m = t1 shift(T_(m-1)) + t0 T_(m-1)
+        power[..., m, 1:] = t1 * power[..., m - 1, :-1]
+        power[..., m, :] += t0 * power[..., m - 1, :]
+    lt = mass.inv_chol.reshape(power.shape) @ power
+    gram = np.swapaxes(lt, -1, -2) @ lt
+    c = np.zeros(gram.shape[:2] + (2 * k + 1,))
+    for j in range(k + 1):
+        c[..., j:j + k + 1] += gram[..., j, :]
+    return c
 
 
 @functools.cache
@@ -154,41 +150,49 @@ def _pairs(count: int) -> np.ndarray:
     return pairs
 
 
-def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
-    """``optimal_shift_two_class`` for each row of ``mass``, a two-class map, as a
-    column: many rows at k = 1 (the sweep), one problem at k >= 2 (per-class Gram matrices)."""
+def _shift_candidates(priors, mass: mm.SharedMass) -> np.ndarray:
+    """Candidate shifts for each row of ``mass``, a two-class map of any k, as NaN-padded
+    columns: both means, the atoms of pinned classes (a point mass or a singular A(k),
+    sharing mass only at its atoms), then, in rows without one, each root d and d's
+    neighbouring doubles: of p1 P2 - p2 P1 (the crossings) and of P1' and P2' (where each
+    peaks), P = 1/eps of degree 2k, in the narrower class's frame."""
     mean1, mean2, var1, var2, *atoms = (c.reshape(-1, 1) for c in (
         *mass.mean, *mass.var, *(x[i] for i in range(2) for x, _ in mass.atoms)))
-    cands = [mean1, mean2] + atoms
-    regular = ~np.isfinite(atoms).any(0)  # a pinned class shares mass only at its atoms
-    if regular.any():
-        if mass.inv_chol is None:  # k = 1: each class peaks at its mean, a crossing is a quadratic
-            d = _crossings(priors, mass.mean.reshape(2, -1, 1), mass.var.reshape(2, -1, 1))
-        else:
-            narrow = var1 <= var2
-            center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
+    if mass.inv_chol is None:  # k = 1: each class peaks at its mean, a crossing is a quadratic
+        d = _crossings(priors, mass.mean.reshape(2, -1, 1), mass.var.reshape(2, -1, 1))
+    else:
+        narrow = var1 <= var2
+        center, scale = np.where(narrow, mean1, mean2), np.sqrt(np.where(narrow, var1, var2))
+        with np.errstate(all="ignore"):  # a pinned class's P is 0 / 0 or infinite: zeroed
             p = _inverse_mass_poly(mass, center, scale)
             (p1, p2), deg = p, p.shape[-1] - 1
             # the crossings, and where each class peaks: P1', P2', zero-padded
             dp = np.zeros_like(p)
             np.multiply(p[..., 1:], np.arange(1, deg + 1), out=dp[..., :-1])
             polys = np.concatenate([(priors[0] * p2 - priors[1] * p1)[None], dp])
-            roots = list(_real_roots(polys.reshape(-1, deg + 1)).reshape(-1, len(p1), deg))
-            # the value at a crossing (a kink) inherits the root's error, and for
-            # k >= 2 the composed polynomials carry more rounding than the maps:
-            # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
-            u = roots[0]
-            w1, w2 = (p * m for p, m in zip(priors, mass(center + scale * u)))
-            powers = np.vander(u.ravel(), deg + 1, increasing=True).reshape(*u.shape, deg + 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlog1, dlog2 = ((powers[..., :-1] @ dq[..., :-1, None] / (powers @ q[..., None]))
-                                [..., 0] for q, dq in zip(p, dp))
-                roots.insert(1, u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
-            u = np.concatenate(roots, axis=1)
-            d = np.where(np.isfinite(u), center + scale * u, np.nan)
-        # one side of a crossing is steep: a neighbour can beat the rounded root
-        cands += [d, np.nextafter(d, math.inf), np.nextafter(d, -math.inf)]
-    cands = np.concatenate(cands, axis=1)
+        polys = np.where(~np.isfinite(atoms).any(0), polys, 0.0)  # a row of zeros has no root
+        roots = list(_real_roots(polys.reshape(-1, deg + 1)).reshape(3, -1, deg))
+        # the value at a crossing (a kink) inherits the root's error, and for
+        # k >= 2 the composed polynomials carry more rounding than the maps:
+        # add one Newton step on w1 - w2 itself, d eps / du = -eps d log P / du
+        u = roots[0]
+        w1, w2 = (p * m for p, m in zip(priors, mass(center + scale * u)))
+        powers = np.vander(u.ravel(), deg + 1, increasing=True).reshape(*u.shape, deg + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlog1, dlog2 = ((powers[..., :-1] @ dq[..., :-1, None] / (powers @ q[..., None]))
+                            [..., 0] for q, dq in zip(p, dp))
+            roots.insert(1, u - (w1 - w2) / (w2 * dlog2 - w1 * dlog1))
+        u = np.concatenate(roots, axis=1)
+        d = np.where(np.isfinite(u), center + scale * u, np.nan)
+    # one side of a crossing is steep: a neighbour can beat the rounded root
+    return np.concatenate([mean1, mean2, *atoms, d, np.nextafter(d, math.inf),
+                           np.nextafter(d, -math.inf)], axis=1)
+
+
+def _shift_two_class(priors, mass: mm.SharedMass) -> np.ndarray:
+    """``optimal_shift_two_class`` for each row of ``mass``, a two-class map of any k, as
+    a column: the row's best ``_shift_candidates`` by ``_objective_vec``."""
+    cands = _shift_candidates(priors, mass)
     vals = _objective_vec(priors, cands, mass).reshape(cands.shape)
     vals[np.isnan(cands)] = -np.inf
     return cands[np.arange(len(cands)), vals.argmax(axis=1)][:, None]
@@ -230,7 +234,8 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     objective rises up to the smallest mean and falls past the largest: only
     that hull's points are scanned, with every pairwise crossing and its
     neighbouring doubles as kinks (``_crossings``, ``_kink_is_max``); with four or more
-    moments each pair's exact shift (``_shift_two_class``) is a kink. If every
+    moments every candidate of every pair (``_shift_candidates``, one call on a map
+    whose rows are the pairs) is a kink, competing only as a point. If every
     class is a point mass the candidates are all there is."""
     priors = [c.prior for c in classes]
     if len(priors) < 2:
@@ -248,10 +253,10 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
         d = _crossings(np.array(priors)[pairs, None], mass.mean[pairs], mass.var[pairs]).ravel()
         span, stop = (min(means), max(means)), functools.partial(_kink_is_max, priors, mass)
         kinks = np.concatenate([d, np.nextafter(d, -math.inf), np.nextafter(d, math.inf)])
-    else:  # each pair's exact two-class shift, one map of one pair per call
-        kinks = np.concatenate([_shift_two_class(np.array(priors)[pair], mm.SharedMass(
-            mass.mean[pair], mass.var[pair], mass.inv_chol[pair],
-            tuple((x[pair], w[pair]) for x, w in mass.atoms))).ravel() for pair in pairs.T])
+    else:  # every pair's two-class candidates, from one map whose rows are the pairs
+        kinks = _shift_candidates(np.array(priors)[pairs, None], mm.SharedMass(
+            mass.mean[pairs], mass.var[pairs], mass.inv_chol[pairs],
+            tuple((x[pairs], w[pairs]) for x, w in mass.atoms))).ravel()
     x, _ = grid_golden_max(lambda d: _objective_vec(priors, d, mass), lo, hi, extra=cands,
                            span=span, kinks=kinks, stop=stop)
     return float(x)

@@ -26,6 +26,8 @@ from momentbounds._search import (
 )
 from momentbounds.lowerbound import (
     _objective_vec,
+    _shift_candidates,
+    _two_class_rows,
     optimal_shift_numeric,
     optimal_shift_two_class,
 )
@@ -521,21 +523,39 @@ def test_numeric_shift_keeps_its_value_on_hard_problems(priors, moments, value):
     assert abs(res.value - value) <= 2.0 * math.ulp(value)
 
 
-def test_numeric_shift_finds_narrow_classes_next_to_a_wide_one():
-    # n = 4: the grid spans +-10 sd of the wide class, the narrow classes'
-    # maximum near -2.6 falls between its points, and each pair's exact shift
-    # finds it (0.0731 at delta* 1.655 from the grid alone)
-    priors = [0.37309113806586436, 0.08763176138657834, 0.5392771005475573]
-    moments = [[-109.59298315850454, 198479.8347570174, -80999778.9474727, 91715077295.12653],
-               [1.650843811604899, 2.7256094097327734, 4.500620584964265, 7.432447499535442],
-               [-2.893380365103721, 8.421872903364282, -24.652470597739022, 72.543207916336]]
-    res = lower_bound([ClassSpec.from_moments(p, m) for p, m in zip(priors, moments)], 4)
-    assert res.value >= 0.1996
+@pytest.mark.parametrize("n, priors, moments, floor", [
+    # the grid spans +-10 sd of the wide class, the narrow classes' maximum
+    # near -2.6 falls between its points, and each pair's exact shift finds it
+    # (0.0731 at delta* 1.655 from the grid alone)
+    (4, [0.37309113806586436, 0.08763176138657834, 0.5392771005475573],
+     [[-109.59298315850454, 198479.8347570174, -80999778.9474727, 91715077295.12653],
+      [1.650843811604899, 2.7256094097327734, 4.500620584964265, 7.432447499535442],
+      [-2.893380365103721, 8.421872903364282, -24.652470597739022, 72.543207916336]], 0.1996),
+    # the maximum, 0.02505 at -0.998 by a dense scan, is where the wide class
+    # crosses the narrow one at -1.07: a candidate of that pair, not its optimum
+    # (0.02268 at -2.973 from the pairs' optima alone)
+    (6, [0.2267633857517952, 0.08641305334861844, 0.34653351884653844,
+         0.22456897272651813, 0.1157210693265298],
+     [[-2.971501001058104, 8.829867959102673, -26.238257596378066, 77.96833034925186,
+       -231.68821506521726, 688.4812653030051],
+      [2.4329930379001414, 5.919579365637501, 14.402900270890141, 35.04436484495118,
+       85.2698650679457, 207.4828051795133],
+      [-1.0736941406357177, 1.154902973688807, -1.2445590826690194, 1.3437248860643785,
+       -1.4536118144253465, 1.5756024075261177],
+      [-0.7409361940542211, 0.5580989059618144, -0.4277061606258596, 0.3336458119563784,
+       -0.26495064409623836, 0.21411591219543533],
+      [-12.263551469423296, 1582.4685067582868, 42744.01788561344, 6187231.099700341,
+       403921974.6475123, 35539941070.91299]], 0.02504),
+], ids=["n4", "n6"])
+def test_numeric_shift_finds_narrow_classes_next_to_a_wide_one(n, priors, moments, floor):
+    res = lower_bound([ClassSpec.from_moments(p, m) for p, m in zip(priors, moments)], n)
+    assert res.value >= floor
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_numeric_shift_beats_every_pairs_exact_shift(n):
-    # G = 3-5 classes, one 10-1,000 times wider than the others
+    # G = 3-5 classes, one 10-1,000 times wider than the others; every candidate
+    # of every pair, its exact shift among them, is a kink of the search
     rng = np.random.default_rng(n)
     for _ in range(15):
         G = int(rng.integers(3, 6))
@@ -550,9 +570,51 @@ def test_numeric_shift_beats_every_pairs_exact_shift(n):
         mass = shared_mass([c.moment_sequence(n) for c in classes])
         value = lower_bound(classes, n).value
         for pair in itertools.combinations(classes, 2):
-            d = optimal_shift_two_class(*pair, shared_mass([c.moment_sequence(n) for c in pair]))
-            at_pair = _objective_vec(priors, np.array([d]), mass)[0]
+            cands = _shift_candidates([c.prior for c in pair],
+                                      shared_mass([c.moment_sequence(n) for c in pair]))
+            at_pair = _objective_vec(priors, cands[~np.isnan(cands)], mass).max()
             assert value >= at_pair * (1.0 - 1e-15), (G, value, at_pair)
+
+
+def pinned_and_regular_classes(rng, G, n):
+    """G moment sequences [1, g1, .., gn]: a point mass, a two-atom class and
+    classes of n // 2 + 3 atoms, one of them much wider, in a random order."""
+    atoms = [[(rng.normal(), 1.0)], list(zip(rng.normal(size=2), (0.3, 0.7)))]
+    for i in range(G - 2):
+        x = rng.normal() + 10.0 ** rng.uniform(-2.0, 0.0 if i else 2.0) * rng.normal(
+            size=n // 2 + 3)
+        atoms.append(list(zip(x, rng.dirichlet(np.full(x.size, 3.0)))))
+    rng.shuffle(atoms)
+    return [moments_of(DiscreteMeasure(tuple(a)), n) for a in atoms]
+
+
+def test_shift_candidates_of_many_pairs_are_each_pairs_own():
+    # one call on a map whose rows are the class pairs gives, row by row and bit
+    # for bit, the candidates of the pair's own map, point masses and a two-atom
+    # (pinned) class included; padding columns aside
+    rng = np.random.default_rng(27)
+    for n in range(4, 9):
+        for G in range(3, 6):
+            seqs = np.array(pinned_and_regular_classes(rng, G, n))
+            priors = rng.dirichlet(np.full(G, 2.0))
+            pairs = np.array(list(itertools.combinations(range(G), 2))).T
+            many = _shift_candidates(priors[pairs, None], shared_mass(seqs[pairs]))
+            for row, pair in zip(many, pairs.T):
+                own = _shift_candidates(priors[pair], shared_mass(seqs[pair])).ravel()
+                assert np.array_equal(row[~np.isnan(row)], own[~np.isnan(own)]), (n, G, pair)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
+def test_two_class_rows_at_higher_orders_answer_each_row_alone(n):
+    # a (2, rows, n + 1) moment array, pinned classes in some rows: each row's
+    # shift, shared masses and bound are those of its own one-problem map
+    rng = np.random.default_rng(n)
+    seqs = np.array([pinned_and_regular_classes(rng, 4, n)[:2] for _ in range(8)]).swapaxes(0, 1)
+    priors = rng.dirichlet((2.0, 2.0), 8).T[..., None]
+    rows = np.concatenate(_two_class_rows(priors, shared_mass(seqs)), axis=1)
+    for r, row in enumerate(rows):
+        alone = np.concatenate(_two_class_rows(priors[:, r, 0], shared_mass(seqs[:, r])), axis=1)
+        assert np.array_equal(row, alone[0]), (n, r)
 
 
 @pytest.mark.parametrize("f, lo, hi, peak", [
