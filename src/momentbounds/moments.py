@@ -139,7 +139,7 @@ class _Frame(NamedTuple):
     ``map_band`` is that pivot's band at machine epsilon in the frame of
     g0 .. g2k, when that frame is this one with ``t`` cut to 2k + 1 entries: a
     positive definite A(k) whose every pivot lies outside both bands. It is None
-    where the two tolerances would branch differently, and that frame needs its
+    where the two tolerances could branch differently, and that frame needs its
     own pass."""
 
     mean: float
@@ -175,10 +175,12 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
 
     Tol enters only as a factor: of the sd cut, of each pivot's band and of
     the Gauss test. So the same pass also judges g0 .. g2k at machine epsilon,
-    the frame ``shared_mass`` reads (``map_band``), wherever the two take the
-    same branch. For k >= 2 an odd n's first 2k + 1 entries are formed on g0 ..
-    g2k alone (BLAS may round a longer product differently), so that frame is
-    this one's by construction; n = 3 keeps one product, and no map.
+    the frame ``shared_mass`` reads (``map_band``), where the sd cuts agree,
+    tol >= 4 eps and no pivot enters tol's band: each pivot before the last
+    then lies above both bands, and the last above 0. For k >= 2 an odd n's
+    first 2k + 1 entries are formed on g0 .. g2k alone (BLAS may round a
+    longer product differently), so that frame is this one's by construction;
+    n = 3 keeps one product, and no map.
     """
     size = g.size
     k = (size - 1) // 2
@@ -194,7 +196,7 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
             c[:m], unit[:m] = shift[:m, :m] @ h[:m], np.abs(shift[:m, :m]) @ ah[:m]
         b = tol * unit
         sd = _frame_sd(c, b, size)
-        shared = (k >= 2 or m == size) and _frame_sd(c[:m], _EPS * unit[:m], m) == sd
+        shared = k >= 2 and tol >= 4.0 * _EPS and _frame_sd(c[:m], _EPS * unit[:m], m) == sd
         scale = (sd or 1.0) ** j  # sd^j past the doubles: t_j = 0, and |t_j| < 1 there
         shift /= scale[:, None]
         t, err = c / scale, b / scale
@@ -204,7 +206,7 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
         return _Frame(mean, sd, t, np.eye(1), 0, -math.inf, 0.0, None)
     inv = np.eye(k + 1)  # t0 = 1
     ortho = np.ones(k + 1)  # pi_r, monic, in its first r + 1 entries
-    pivot, band, map_band = math.inf, 0.0, 0.0 if shared else None
+    pivot, band = math.inf, 0.0
     for r in range(1, k + 1):
         row = inv[:r, :r] @ t[r:2 * r]
         pivot = t[2 * r] - row @ row
@@ -212,11 +214,8 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
         square = np.convolve(ortho[:r + 1], ortho[:r + 1])
         coef = np.abs(square @ shift[:2 * r + 1])
         band = (tol * coef) @ ah
-        if map_band is not None:
-            map_band = (_EPS * coef[:m]) @ ah[:m]
-            if -map_band <= pivot <= (0.0 if r == k else map_band):
-                map_band = None  # the map's frame runs a Gauss test of its own
         if -band <= pivot <= (0.0 if r == k else band):
+            shared = False  # the map's frame may take another branch here
             x, w = _gauss(t, inv[:r, :r])
             powers = x[:, None] ** j[2 * r + 1:]
             if np.all(np.abs(w @ powers - t[2 * r + 1:])
@@ -225,7 +224,8 @@ def _standardize(g: np.ndarray, tol: float) -> _Frame:
         if pivot <= 0.0:
             return _Frame(mean, sd, t, inv[:r, :r], 0, pivot, band, None)
         inv[r, :r + 1] = ortho[:r + 1] / math.sqrt(pivot)
-    return _Frame(mean, sd, t, inv, k + 1, pivot, band, map_band)
+    return _Frame(mean, sd, t, inv, k + 1, pivot, band,
+                  (_EPS * coef[:m]) @ ah[:m] if shared else None)
 
 
 def _gauss(t: np.ndarray, inv_chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,21 +407,19 @@ def _shared_mass(arr: np.ndarray, tol: float, frames) -> SharedMass:
     if arr.shape[-1] < 5:  # k = 1
         return _two_moment_map(mean, var)
     rows = arr.reshape(-1, arr.shape[-1])
-    inv, atoms = zip(*(_sequence_mass(g, p, tol, fr) for g, p, fr in
-                       zip(rows, (var == 0.0).ravel().tolist(), frames or [None] * len(rows))))
+    inv, atoms = zip(*(_sequence_mass(g, tol, fr) for g, fr in
+                       zip(rows, frames or [None] * len(rows))))
     pad = [a + [(math.nan, math.nan)] * (max(map(len, atoms)) - len(a)) for a in atoms]
     return SharedMass(mean, var, np.array(inv).reshape(shape[:-1] + inv[0].shape),
                       tuple(tuple(np.array(col).reshape(shape) for col in zip(*row))
                             for row in zip(*pad)))
 
 
-def _sequence_mass(g: np.ndarray, point: bool, tol: float, fr: _Frame | None):
+def _sequence_mass(g: np.ndarray, tol: float, fr: _Frame | None):
     """L^-1 (I if pinned) and atoms of one sequence with k >= 2, from the frame
     of g0 .. g2k at machine epsilon: ``fr``'s where its ``map_band`` says it holds
     that frame, else a pass of its own."""
     k = (g.size - 1) // 2
-    if point:
-        return np.eye(k + 1), [(float(g[1]), 1.0)]
     if fr is None or fr.map_band is None:
         fr = _standardize(g[:2 * k + 1], _EPS)
         band = fr.band

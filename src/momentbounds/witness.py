@@ -150,13 +150,10 @@ def verify_witness(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> Witn
     """
     classes = list(classes)
     bound = lower_bound(classes, n_moments, tol=tol)
-    exact = [_two_atoms(c, bound.delta_star, e) if n_moments == 2 else None
-             for c, e in zip(classes, bound.epsilons)]
-    rest = [(c, _backed_off(c, e, n_moments, tol))
-            for c, e, m in zip(classes, bound.epsilons, exact) if m is None]
-    built = iter(build_witness([c for c, _ in rest], bound.delta_star, [e for _, e in rest],
-                               n_moments=n_moments, tol=tol))
-    measures = [next(built) if m is None else m for m in exact]
+    measures = [(n_moments == 2 and _two_atoms(c, bound.delta_star, e))
+                or build_witness([c], bound.delta_star, [_backed_off(c, e, n_moments, tol)],
+                                 n_moments=n_moments, tol=tol)[0]
+                for c, e in zip(classes, bound.epsilons)]
     target = [c.moment_sequence(n_moments) for c in classes]
     s = max(math.sqrt(seq[2]) if n_moments > 1 else abs(seq[1]) for seq in target) or 1.0
     scale = [math.prod([s] * j) for j in range(n_moments + 1)]  # exact under 2^k rescaling

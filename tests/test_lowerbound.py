@@ -664,9 +664,9 @@ def test_search_points_are_linspace_bit_for_bit(num):
 
 
 def test_span_scan_forms_the_full_grids_points():
-    # a grid coarser than the doubles forms only the span's points and the
-    # bracket's from their indices: both must be the full grid's, located by
-    # searchsorted; on a finer grid the whole grid is formed
+    # the scan takes the span's points from the full grid, located by
+    # searchsorted, and the first pass's bracket from the grid points on
+    # either side of the best one
     rng = np.random.default_rng(42)
     for _ in range(200):
         unit = 10.0 ** rng.uniform(-30.0, 30.0)

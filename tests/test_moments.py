@@ -143,6 +143,10 @@ def test_is_feasible_zero_mass_with_second_moment():
 
 def test_is_feasible_unit_atom():
     assert is_feasible([1.0, 1.0, 1.0, 1.0]).feasible
+    # n = 0: the mass alone is one atom, at 0
+    verdict = is_feasible([1.0])
+    assert verdict.feasible and verdict.rank_gamma == 1
+    assert recover_atoms([1.0]).atoms == ((0.0, 1.0),)
 
 
 def test_is_feasible_rejects_negative_mass():
@@ -499,17 +503,20 @@ def same_map(a, b):
 
 # one standardization per sequence gives the verdict at tol and the map at
 # machine epsilon where the two branch alike, and a second pass gives the map
-# where they do not: either way they are those of two separate passes. A
-# nudged g_2k leaves k atoms or fewer near singular
+# where they may not: either way they are those of two separate passes. A
+# nudged g_2k leaves k atoms or fewer near singular; below 4 eps the map always
+# takes its own pass, and a point mass's verdict stops at its first pivot
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(unit_atoms, st.integers(4, 8), st.floats(-3.0, 6.0), st.floats(-6.0, 6.0), st.booleans(),
-       st.sampled_from([1e-12, 1e-9, 1e-6]),
-       st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6]))
-def test_one_frame_gives_what_two_passes_give(atoms, n, log_offset, log_scale, left, tol, nudge):
+       st.sampled_from([0.0, 1e-16, 1e-12, 1e-9, 1e-6]),
+       st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6]), st.booleans())
+def test_one_frame_gives_what_two_passes_give(atoms, n, log_offset, log_scale, left, tol, nudge,
+                                              point):
     total = sum(w for _, w in atoms)
     offset = (-1.0 if left else 1.0) * 10.0 ** log_offset
+    zs = [atoms[0][0] if point else z for z, _ in atoms]  # a point mass: one location
     measure = DiscreteMeasure.from_atoms((offset + 10.0 ** log_scale * z, w / total)
-                                         for z, w in atoms)
+                                         for z, (_, w) in zip(zs, atoms))
     seq = moments_of(measure, n)
     seq[2 * (n // 2)] *= 1.0 + nudge
     (verdict,), mass = mm._judged_mass(seq, tol)
@@ -539,7 +546,13 @@ def test_one_frame_gives_what_two_passes_give(atoms, n, log_offset, log_scale, l
     # frame is the verdict's first seven entries
     (moments_of(DiscreteMeasure(tuple(zip([-1.3, 0.1, 0.9, 2.2, 3.1],
                                           [0.2, 0.3, 0.25, 0.15, 0.1]))), 7), 1e-9, None),
-], ids=["n4", "n6", "tol_band", "overflow_guard", "eps_band", "n7"])
+    # atoms of 1e-8 at -3 and 3 beside -1 and 1: the second pivot, 1.3e-6, lies
+    # inside the band at tol, the two-point rule misses t6 and the last pivot is
+    # positive. A regular verdict, but the frame is not shared: the map takes
+    # its own pass, also regular (no atoms)
+    (moments_of(DiscreteMeasure(((-3.0, 1e-8), (-1.0, 0.5 - 1e-8), (1.0, 0.5 - 1e-8),
+                                 (3.0, 1e-8))), 6), 1e-6, []),
+], ids=["n4", "n6", "tol_band", "overflow_guard", "eps_band", "n7", "inner_band"])
 def test_a_second_pass_only_where_the_tolerances_branch_apart(seq, tol, atoms, monkeypatch):
     passes = []
     standardize = mm._standardize
