@@ -30,8 +30,9 @@ def grid_golden_max(f_vec, lo: float, hi: float, extra, span=None, kinks=(), sto
     The interval is scanned on ``GRID_POINTS`` equispaced points (those in a
     ``span`` known to hold the maximizer, by default the interval, and one past
     each end) with the ``extra`` candidates and the ``kinks``, clipped into the
-    span, in one call. A winning kink that ``stop``, if any, accepts, given its
-    lead over the best other point and the grid step, is returned. Otherwise the
+    span, in one call; a span may reach past the interval, where only the
+    candidates are scanned. A winning kink that ``stop``, if any, accepts, given
+    its lead over the best other point and the grid step, is returned. Otherwise the
     grid points on either side of the best other point bracket it; each pass
     then scans the bracket on ``PASS_POINTS`` points in one call and keeps the
     neighbours of that pass's best point, until the bracket no longer shrinks

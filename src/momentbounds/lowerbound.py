@@ -8,7 +8,8 @@ shared location: exactly for two classes, among the real roots of polynomials
 (closed form for two and three moments, companion-matrix eigenvalues beyond),
 for three or more by a grid scan refined in batched bracket passes, which with
 two or three moments covers the means' hull and the pairwise crossings only,
-and with four or more takes every class pair's two-class candidates as kinks.
+and with four or more the hull of every class pair's two-class candidates,
+which it takes as kinks.
 """
 
 from __future__ import annotations
@@ -225,18 +226,19 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
 
     ``lower_bound`` uses it for G >= 3, where exact enumeration needs roots of
     degree (2k - 1) + 4k(G - 2). ``mass`` is the classes' shared-mass map:
-    each objective evaluation is one call of it. Scans 10,001 points on
-    [min mean - 10 max sd, max mean + 10 max sd] with the means and the atoms
-    of pinned classes, then refines the best point's bracket until it no
-    longer shrinks in doubles (``_search.grid_golden_max``), so the result
-    scales with the problem's units. With two moments each p_i eps_i rises up
-    to its mean and falls past it, and sum - max rises with each, so the
-    objective rises up to the smallest mean and falls past the largest: only
-    that hull's points are scanned, with every pairwise crossing and its
-    neighbouring doubles as kinks (``_crossings``, ``_kink_is_max``); with four or more
-    moments every candidate of every pair (``_shift_candidates``, one call on a map
-    whose rows are the pairs) is a kink, competing only as a point. If every
-    class is a point mass the candidates are all there is."""
+    each objective evaluation is one call of it. Scans the 10,001-point grid
+    on [min mean - 10 max sd, max mean + 10 max sd] with the means and the
+    atoms of pinned classes, then refines the best point's bracket until it
+    no longer shrinks in doubles (``_search.grid_golden_max``), so the result
+    scales with the problem's units. Only the grid points of a span holding
+    the maximizer are scanned. With two moments each p_i eps_i rises up to its
+    mean and falls past it, and sum - max rises with each: the span is the
+    means' hull, and every pairwise crossing and its neighbouring doubles are
+    kinks (``_crossings``, ``_kink_is_max``). With four or more moments every
+    candidate of every pair (``_shift_candidates``, one call on a map whose
+    rows are the pairs) is a kink, competing only as a point, and the span is
+    their hull: past the outermost one every p_i eps_i is beyond its last peak
+    and no two cross, so sum - max only falls there."""
     priors = [c.prior for c in classes]
     if len(priors) < 2:
         raise ValueError("need at least two classes")
@@ -244,11 +246,8 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
     atoms = np.ravel([x for x, _ in mass.atoms], order="F")  # class by class
     cands = means + atoms[~np.isnan(atoms)].tolist()
     smax = math.sqrt(mass.var.max())
-    if smax == 0.0:
-        vals = _objective_vec(priors, np.array(cands), mass)
-        return float(cands[int(np.argmax(vals))])
     lo, hi = min(means) - 10.0 * smax, max(means) + 10.0 * smax
-    pairs, span, stop = _pairs(len(priors)), None, None
+    pairs, stop = _pairs(len(priors)), None
     if mass.inv_chol is None:  # two or three moments
         d = _crossings(np.array(priors)[pairs, None], mass.mean[pairs], mass.var[pairs]).ravel()
         span, stop = (min(means), max(means)), functools.partial(_kink_is_max, priors, mass)
@@ -257,6 +256,7 @@ def optimal_shift_numeric(classes, mass: mm.SharedMass) -> float:
         kinks = _shift_candidates(np.array(priors)[pairs, None], mm.SharedMass(
             mass.mean[pairs], mass.var[pairs], mass.inv_chol[pairs],
             tuple((x[pairs], w[pairs]) for x, w in mass.atoms))).ravel()
+        span = (np.nanmin(kinks), np.nanmax(kinks))  # the means are among them
     x, _ = grid_golden_max(lambda d: _objective_vec(priors, d, mass), lo, hi, extra=cands,
                            span=span, kinks=kinks, stop=stop)
     return float(x)
@@ -316,16 +316,13 @@ def lower_bound(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> LowerBo
             raise InfeasibleSequenceError(
                 f"class {i} moment sequence is infeasible ({verdict.reason.value})")
     if len(classes) == 2:
-        delta, *eps, value = (float(x[0, 0]) for x in
-                              _two_class_rows([c.prior for c in classes], mass))
-        method = BoundMethod.CLOSED_FORM_G2
+        delta, method = optimal_shift_two_class(*classes, mass), BoundMethod.CLOSED_FORM_G2
     else:
-        delta = optimal_shift_numeric(classes, mass)
-        method = BoundMethod.NUMERIC
-        eps = mass(delta).ravel().tolist()
-        weighted = [c.prior * e for c, e in zip(classes, eps)]
-        weighted.remove(max(weighted))  # sum - max cancels when one class keeps nearly all
-        value = sum(weighted)
+        delta, method = optimal_shift_numeric(classes, mass), BoundMethod.NUMERIC
+    eps = mass(delta).ravel().tolist()
+    weighted = [c.prior * e for c, e in zip(classes, eps)]
+    weighted.remove(max(weighted))  # sum - max cancels when one class keeps nearly all
+    value = sum(weighted)
     # with two moments the supremum fails exactly when some class must give
     # up all its mass while keeping positive variance (shifted mean zero)
     attained = n_moments == 2 and all(e < 1.0 or v == 0.0

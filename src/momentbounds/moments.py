@@ -88,26 +88,15 @@ class DiscreteMeasure:
             raise ValueError(f"total mass {total} exceeds 1")
 
     @classmethod
-    def from_atoms(cls, pairs, merge_tol: float = 0.0) -> "DiscreteMeasure":
-        """Build a measure, merging atoms closer than ``merge_tol`` (relative).
-
-        Atoms within ``merge_tol`` times the largest |location| of a group's
-        first location join the group, which is replaced by a single atom at its
-        mass-weighted mean location (kept within the group's span, which
-        rounding could leave); zero-mass entries are dropped.
-        """
-        pairs = sorted((float(x), float(w)) for x, w in pairs if w != 0.0)
-        merge_tol *= max((abs(x) for x, _ in pairs), default=0.0)
-        merged: list[list[float]] = []
-        for x, w in pairs:
-            if merged and x - anchor <= merge_tol:
-                loc, mass = merged[-1]
-                tot = mass + w
-                merged[-1] = [min(max((loc * mass + x * w) / tot, anchor), x), tot]
-            else:
-                anchor = x
-                merged.append([x, w])
-        return cls(tuple((x, w) for x, w in merged))
+    def from_atoms(cls, pairs) -> "DiscreteMeasure":
+        """Build a measure from (location, mass) pairs in any order: the masses
+        of a repeated location add up, zero-mass entries are dropped. Distinct
+        locations stay apart however close (``witness.discrete_bayes_error``
+        groups near points)."""
+        merged: dict[float, float] = {}
+        for x, w in sorted((float(x), float(w)) for x, w in pairs if w != 0.0):
+            merged[x] = merged.get(x, 0.0) + w
+        return cls(tuple(merged.items()))
 
     @property
     def total_mass(self) -> float:

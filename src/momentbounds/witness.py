@@ -77,7 +77,7 @@ def build_witness(classes, delta_star: float, epsilons, n_moments: int,
         atoms = list(mm.recover_atoms(residual, tol).atoms)
         if eps > 0.0:
             atoms.append((delta_star, eps))
-        measures.append(mm.DiscreteMeasure.from_atoms(atoms, merge_tol=ATOM_MERGE_TOL))
+        measures.append(mm.DiscreteMeasure.from_atoms(atoms))
     return measures
 
 
@@ -112,10 +112,10 @@ def discrete_bayes_error(measures, priors) -> float:
 
 
 def _backed_off(c: ClassSpec, eps: float, n_moments: int, tol: float) -> float:
-    if c.gamma2 is not None and max(c.sigma2, 0.0) == 0.0 and eps == 1.0:
-        return 1.0  # point mass sitting exactly on the shared location
-    if n_moments == 1:
+    if n_moments == 1:  # the shared location need not be the class's
         return max(eps - DEFAULT_BACKOFF, 0.0)
+    if max(c.sigma2, 0.0) == 0.0 and eps == 1.0:
+        return 1.0  # point mass sitting exactly on the shared location
     backoff = DEFAULT_BACKOFF
     if n_moments >= 4:
         # the mass freed must stand out of the rounding within which
@@ -133,8 +133,7 @@ def _two_atoms(c: ClassSpec, delta: float, eps: float):
     if not (0.0 < eps < 1.0 and var > 0.0 and math.isfinite(r := c.gamma1 - var / d)):
         return None
     t = math.sqrt(var) / d
-    return mm.DiscreteMeasure.from_atoms([(delta, eps), (r, 1.0 / (1.0 + t * t))],
-                                         merge_tol=ATOM_MERGE_TOL)
+    return mm.DiscreteMeasure.from_atoms([(delta, eps), (r, 1.0 / (1.0 + t * t))])
 
 
 def verify_witness(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> WitnessReport:

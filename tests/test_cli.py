@@ -282,6 +282,16 @@ def test_ulp_apart_and_far_inputs_answer(argv, code, stream, tmp_path, capsys):
             assert payload["lower"] <= payload["upper"]
 
 
+def test_first_moment_witness_of_a_point_mass_backs_off(tmp_path, capsys):
+    # at n = 1 the shared location, 0, is not the point mass's own (1): its
+    # epsilon 1 is backed off like any other class's, and the witness certifies
+    path = write_problem(tmp_path, [{"prior": 0.5, "moments": [1.0, 1.0]},
+                                    {"prior": 0.5, "moments": [2.0]}])
+    code, out, _ = run(["witness", path], capsys)
+    assert code == 0
+    assert strict_json(out)["report"]["certified"] is True
+
+
 TANGENT_PAIR = [{"prior": 0.19276355112477117, "moments": [-6191.5, 5038334672.25]},
                 {"prior": 0.8072364488752288, "moments": [169.47, 28720.08090000039]}]
 

@@ -604,6 +604,30 @@ def test_shift_candidates_of_many_pairs_are_each_pairs_own():
                 assert np.array_equal(row[~np.isnan(row)], own[~np.isnan(own)]), (n, G, pair)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 5), st.integers(4, 8), st.integers(0, 2**32 - 1))
+def test_candidate_hull_scan_finds_the_whole_intervals_shift(G, n, seed):
+    # past the hull of every pair's candidates sum - max only falls, so the scan
+    # of that hull ends where the scan of the whole interval, with the same
+    # objective, candidates and kinks, does (a point mass, a two-atom class and
+    # a class up to 100 times wider than the others in every problem)
+    rng = np.random.default_rng(seed)
+    priors = rng.dirichlet(np.full(G, 2.0))
+    classes = [ClassSpec.from_moments(p, seq[1:])
+               for p, seq in zip(priors, pinned_and_regular_classes(rng, G, n))]
+    priors, seqs = [c.prior for c in classes], np.array([c.moment_sequence(n) for c in classes])
+    mass = shared_mass(seqs)
+    means, atoms = mass.mean.ravel(), np.ravel([x for x, _ in mass.atoms], order="F")
+    pairs = np.array(list(itertools.combinations(range(G), 2))).T
+    kinks = _shift_candidates(np.array(priors)[pairs, None], shared_mass(seqs[pairs])).ravel()
+    smax = math.sqrt(mass.var.max())
+    x, best = grid_golden_max(lambda d: _objective_vec(priors, d, mass),
+                              means.min() - 10.0 * smax, means.max() + 10.0 * smax,
+                              extra=np.concatenate([means, atoms[~np.isnan(atoms)]]), kinks=kinks)
+    res = lower_bound(classes, n)
+    assert res.delta_star == x or res.value == best == 0.0, (res, x, best)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 8])
 def test_two_class_rows_at_higher_orders_answer_each_row_alone(n):
     # a (2, rows, n + 1) moment array, pinned classes in some rows: each row's

@@ -475,18 +475,13 @@ def test_discrete_measure_validation():
         DiscreteMeasure(((0.0, 0.5), (0.0, 0.5)))
     with pytest.raises(ValueError):
         DiscreteMeasure(((0.0, 0.8), (1.0, 0.8)))
-    merged = DiscreteMeasure.from_atoms([(0.0, 0.25), (1e-14, 0.25), (1.0, 0.5)],
-                                        merge_tol=1e-12)
-    assert len(merged.atoms) == 2
-    assert merged.total_mass == pytest.approx(1.0)
-    # four copies of one location stay one atom, though their running mean
-    # rounds away from it
+    # four copies of one location are one atom of their summed mass
     weights = [0.11514250465492515, 0.18833641118360192, 0.21668306027493187,
                0.22171451260646818]
     copies = DiscreteMeasure.from_atoms([(-100.0, w) for w in weights])
     assert len(copies.atoms) == 1
     assert copies.total_mass == pytest.approx(sum(weights))
-    # nor does a merged mean round onto the neighbouring location one ulp down
+    # locations one ulp apart stay two atoms
     lo, hi = -5.623413251903492, -5.623413251903491
     ulp_apart = DiscreteMeasure.from_atoms([(lo, 0.25 / 2.9375), (hi, 0.5 / 2.9375),
                                             (hi, 0.8125 / 2.9375)])

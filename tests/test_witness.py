@@ -131,14 +131,18 @@ def test_verify_witness_first_moments_only():
 
 
 def test_verify_witness_all_point_masses():
-    # every class a point mass: the shift search has only the means to try,
+    # every class a point mass: the shared mass is 0 off the atoms, which the
+    # scan of the means' hull (at n = 4 of the pairs' candidates', [0, 1]) holds,
     # and the witness keeps each class's single atom (eps 1 or 0, no back-off)
-    classes = [ClassSpec(0.3, 0.0, 0.0), ClassSpec(0.3, 0.0, 0.0), ClassSpec(0.4, 1.0, 1.0)]
-    report = verify_witness(classes, 2)
-    bound = report.bound
-    assert (bound.value, bound.delta_star, bound.epsilons) == (0.3, 0.0, (1.0, 1.0, 0.0))
-    assert report.certified
-    assert [m.atoms for m in report.measures] == [((0.0, 1.0),), ((0.0, 1.0),), ((1.0, 1.0),)]
+    for n in (2, 4):
+        classes = [ClassSpec.from_moments(p, [x] * n) for p, x in ((0.3, 0.0), (0.3, 0.0),
+                                                                    (0.4, 1.0))]
+        report = verify_witness(classes, n)
+        bound = report.bound
+        assert (bound.value, bound.delta_star, bound.epsilons) == (0.3, 0.0, (1.0, 1.0, 0.0))
+        assert report.certified
+        assert [m.atoms for m in report.measures] == [((0.0, 1.0),), ((0.0, 1.0),),
+                                                      ((1.0, 1.0),)]
 
 
 def test_verify_witness_randomized_two_moment():
