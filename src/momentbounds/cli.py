@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
     with np.errstate(over="ignore"):  # refused by shared_mass as a non-finite moment
         seq[1, :, 2] = mu2 * mu2 + s2sq
     mass = mm.shared_mass(seq)
-    low, up = _two_class_rows(priors, mass)[3], _upper_rows(priors, mass.mean, mass.var)[0]
+    low, up = _two_class_rows(priors, mass)[3], _upper_rows(priors, mass)[0]
     lines = ["mu2,sigma2sq,lower,upper,gaussian"]
     for m, v, lo, hi in zip(*(a.ravel().tolist() for a in (mu2, s2sq, low, up))):
         gauss = _bayes_error(0.0, m, args.sigma1sq, v, *priors)

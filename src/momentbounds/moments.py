@@ -376,14 +376,6 @@ def _judged_mass(seq, tol: float) -> tuple[list[FeasibilityVerdict], SharedMass 
     return verdicts, _shared_mass(arr, tol, frames)
 
 
-def _two_moment_map(mean: np.ndarray, var: np.ndarray) -> SharedMass:
-    """The two-moment map of columns of means and variances: a point mass's
-    atom is its mean."""
-    point = var == 0.0  # a point mass shares mass only at its mean
-    atoms = (np.where(point, mean, np.nan), np.where(point, 1.0, np.nan))
-    return SharedMass(mean, var, atoms=(atoms,) if point.any() else ())
-
-
 def _shared_mass(arr: np.ndarray, tol: float, frames) -> SharedMass:
     """``shared_mass`` of checked sequences. ``frames``, when given, holds each
     sequence's frame from its verdict (``_judge``)."""
@@ -393,8 +385,10 @@ def _shared_mass(arr: np.ndarray, tol: float, frames) -> SharedMass:
     mean = arr[..., 1].reshape(shape).copy()
     with np.errstate(over="ignore"):  # g1^2 beyond g2: a point mass, as in floats
         var = np.maximum(arr[..., 2].reshape(shape) - mean * mean, 0.0)
-    if arr.shape[-1] < 5:  # k = 1
-        return _two_moment_map(mean, var)
+    if arr.shape[-1] < 5:  # k = 1: a point mass shares mass only at its mean
+        point = var == 0.0
+        atoms = (np.where(point, mean, np.nan), np.where(point, 1.0, np.nan))
+        return SharedMass(mean, var, atoms=(atoms,) if point.any() else ())
     rows = arr.reshape(-1, arr.shape[-1])
     inv, atoms = zip(*(_sequence_mass(g, tol, fr) for g, fr in
                        zip(rows, frames or [None] * len(rows))))

@@ -5,8 +5,8 @@ probability any such distribution can place on S is 1 when the mean lies in
 S, and otherwise the two-moment ``moments.shared_mass`` at its endpoint (a
 sharpened Chebyshev-Cantelli inequality). Minimizing the resulting worst-case
 two-class error over the threshold location upper-bounds the supremum Bayes
-error of any pair of distributions with the given moments. The lower bound's
-map has these means and variances, so lower <= upper exactly for n = 2 and 3.
+error of any pair of distributions with the given moments. For n = 2 and 3 the
+two classes' two-moment map is the lower bound's map, so lower <= upper exactly.
 A pair whose tails at each other's means outweigh the smaller prior skips the quintic.
 """
 
@@ -49,26 +49,24 @@ def _worst_error_vec(priors, s: np.ndarray, mass: mm.SharedMass) -> np.ndarray:
     return priors[0] * t1 + priors[1] * t2
 
 
-def _upper_rows(priors, mean, var):
+def _upper_rows(priors, mass: mm.SharedMass):
     """``upper_bound``'s value, threshold and clipped flag for every row at
-    once, as columns, from the checked ``priors`` and the two classes' ``mean``
-    and ``var`` columns (a class axis first): each class's half-line tail is
-    the two-moment map of those, a point mass's atom its mean.
+    once, as columns, from the checked ``priors`` and ``mass``, the two classes'
+    two-moment map shaped (2, rows, 1), which gives each class's half-line tail.
 
     A row is decided, the limit, before its quintic is formed when the floor
-    p1 eps1(mu2) + p2 eps2(mu1), in the map's arithmetic, clears it by 32 ulps:
+    p1 eps1(mu2) + p2 eps2(mu1), the map at the other class's mean, clears it by 32 ulps:
     rounding is monotone, so every candidate between the means, or rounded a
     few ulps past b's mean, errs by more. Past it, near = q_a^(2/3) errs by
     p_b + p_a eps_a, eps_a >= near / (4 + 4 near) as rounding at most doubles
     its distance from a's mean. Unless near > 128 ulps that can tie a limit
     p_b, a tie the interior wins, so the row is decided only if near < g.
     """
-    mean, var = (np.reshape(x, (2, -1, 1)) for x in (mean, var))
-    (mu1, mu2), (p1, p2) = mean, priors
+    (mu1, mu2), (p1, p2) = mass.mean, priors
     left = mu1 <= mu2
     gap = np.abs(mu2 - mu1)
     inner = gap > 0.0
-    sd1, sd2 = sd = np.sqrt(var)
+    sd1, sd2 = sd = np.sqrt(mass.var)
     # equal means have no interior threshold: their sds keep the unused coefficients finite
     unit = np.maximum(np.maximum(gap, sd1), sd2)
     unit = np.where(unit > 0.0, unit, 1.0)
@@ -82,8 +80,7 @@ def _upper_rows(priors, mean, var):
     # errs by the other's prior; an interior threshold wins ties
     limit = min(p1, p2)
     s_limit = np.where(np.where(left, p1 <= p2, p2 <= p1), -math.inf, math.inf)
-    with np.errstate(all="ignore"):  # an overflowing gap^2 gives 0, below the map's tail
-        m1, m2 = var / (var + gap * gap)
+    m1, m2 = mass(mass.mean[::-1])
     decided = ~inner | ((p1 * m1 + p2 * m2 > max(limit, mm._TINY) * (1.0 + 32.0 * mm._EPS))
                         & ((near < g) | (near > 128.0 * mm._EPS)))
     if decided.all():
@@ -103,7 +100,7 @@ def _upper_rows(priors, mean, var):
     s = np.concatenate([np.where(a1, mu1, mu2) + np.where(a1 == left, 1.0, -1.0) * unit * x,
                         np.nextafter(np.minimum(mu1, mu2), math.inf),
                         np.nextafter(np.maximum(mu1, mu2), -math.inf)], axis=1)
-    errors = _worst_error_vec(priors, s, mm._two_moment_map(mean, var))
+    errors = _worst_error_vec(priors, s, mass)
     i = np.arange(len(s)), np.where(np.isnan(s), np.inf, errors).argmin(axis=1)
     err, s_in = errors[i][:, None], s[i][:, None]
     interior = inner & (err <= limit)
@@ -113,7 +110,8 @@ def _upper_rows(priors, mean, var):
 def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     """Upper bound on the supremum Bayes error of a two-class problem.
 
-    The infimum of the worst-case threshold error over the extended line.
+    The infimum of the worst-case threshold error over the extended line, read
+    from the classes' two-moment ``shared_mass`` map (the lower bound's for n <= 3).
     Between the means it is p_lo sigma_lo^2 / D_lo + p_hi sigma_hi^2 / D_hi,
     D = sigma^2 + (s - mu)^2, stationary at the real roots of the quintic
     p_lo sigma_lo^2 (s - mu_lo) D_hi^2 + p_hi sigma_hi^2 (s - mu_hi) D_lo^2
@@ -127,12 +125,8 @@ def upper_bound(c1: ClassSpec, c2: ClassSpec) -> UpperBoundResult:
     """
     if c1.gamma2 is None or c2.gamma2 is None:
         raise ValueError("second moment unknown for this class")
-    g1, g2 = g = np.array([[c1.gamma1, c2.gamma1], [c1.gamma2, c2.gamma2]], dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("moments must be finite")
+    mass = mm.shared_mass([[c.moment_sequence(2)] for c in (c1, c2)])
     if abs(c1.prior + c2.prior - 1.0) > 1e-12:
         raise ValueError("the two class priors must sum to 1")
-    with np.errstate(over="ignore"):  # g1^2 beyond g2: a point mass, as in moments.shared_mass
-        var = np.maximum(g2 - g1 * g1, 0.0)
-    value, s_star, clipped = _upper_rows((c1.prior, c2.prior), g1, var)
+    value, s_star, clipped = _upper_rows((c1.prior, c2.prior), mass)
     return UpperBoundResult(float(value[0, 0]), float(s_star[0, 0]), bool(clipped[0, 0]))

@@ -111,11 +111,9 @@ def discrete_bayes_error(measures, priors) -> float:
     return max(1.0 - winning, 0.0)
 
 
-def _backed_off(c: ClassSpec, eps: float, n_moments: int, tol: float) -> float:
+def _backed_off(eps: float, n_moments: int, tol: float) -> float:
     if n_moments == 1:  # the shared location need not be the class's
         return max(eps - DEFAULT_BACKOFF, 0.0)
-    if max(c.sigma2, 0.0) == 0.0 and eps == 1.0:
-        return 1.0  # point mass sitting exactly on the shared location
     backoff = DEFAULT_BACKOFF
     if n_moments >= 4:
         # the mass freed must stand out of the rounding within which
@@ -139,6 +137,8 @@ def _two_atoms(c: ClassSpec, delta: float, eps: float):
 def verify_witness(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> WitnessReport:
     """Compute the bound, build its witness and check the certificate.
 
+    A class its ``shared_mass`` map pins (a point mass, or a singular A(k) in the
+    bound's machine-epsilon frame) has one measure, the map's atoms: its witness.
     With two moments a class with 0 < eps < 1 gets its two atoms at the bound's own
     eps. Other epsilons are backed off by ``DEFAULT_BACKOFF`` (n >= 4: by at least 100
     ``tol``, up to CONSTRUCTION_MARGIN) for ``build_witness``: at an unattained supremum
@@ -149,11 +149,15 @@ def verify_witness(classes, n_moments: int, tol: float = mm.DEFAULT_TOL) -> Witn
     """
     classes = list(classes)
     bound = lower_bound(classes, n_moments, tol=tol)
-    measures = [(n_moments == 2 and _two_atoms(c, bound.delta_star, e))
-                or build_witness([c], bound.delta_star, [_backed_off(c, e, n_moments, tol)],
-                                 n_moments=n_moments, tol=tol)[0]
-                for c, e in zip(classes, bound.epsilons)]
     target = [c.moment_sequence(n_moments) for c in classes]
+    atoms = mm.shared_mass(target, tol).atoms if n_moments > 1 else ()
+    # each class's pinned atoms: the map's columns are NaN past a class's last atom
+    pinned = [[(x[i, 0], w[i, 0]) for x, w in atoms if w[i, 0] > 0.0] for i in range(len(target))]
+    measures = [(pin and mm.DiscreteMeasure.from_atoms(pin))
+                or (n_moments == 2 and _two_atoms(c, bound.delta_star, e))
+                or build_witness([c], bound.delta_star, [_backed_off(e, n_moments, tol)],
+                                 n_moments=n_moments, tol=tol)[0]
+                for c, e, pin in zip(classes, bound.epsilons, pinned)]
     s = max(math.sqrt(seq[2]) if n_moments > 1 else abs(seq[1]) for seq in target) or 1.0
     scale = [math.prod([s] * j) for j in range(n_moments + 1)]  # exact under 2^k rescaling
     got = np.array([mm.moments_of(m, n_moments) for m in measures])

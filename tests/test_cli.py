@@ -292,6 +292,26 @@ def test_first_moment_witness_of_a_point_mass_backs_off(tmp_path, capsys):
     assert strict_json(out)["report"]["certified"] is True
 
 
+def test_witness_of_a_pinned_class_is_its_atoms(tmp_path, capsys):
+    # n = 8: the third class, pinned by two atoms, gives 0.7 of its weight to the
+    # shared location; its witness is those atoms, where a residual backed off
+    # by 1e-7 was refused by recover_atoms (RANK_MISMATCH)
+    path = write_problem(tmp_path, [
+        {"prior": 0.229817917031523, "moments": [
+            0.4360408357720088, 0.2464263757355354, 0.16674092940552776, 0.12747622828821462,
+            0.10530981663232505, 0.09109457774682607, 0.08089228118436763, 0.0728960385776803]},
+        {"prior": 0.05348862842216579, "moments": [
+            -0.5088778060727873, 0.25895662151345333, -0.13177727742378728, 0.06705853182566192,
+            -0.034124598553905025, 0.0173652508452258, -0.00883679075202212,
+            0.004496846690613313]},
+        {"prior": 0.7166934545463113, "moments": [
+            0.5112444438147756, 0.38439687626936636, 0.28464781202580686, 0.21088888548557094,
+            0.1562400312891851, 0.11575271382275619, 0.08575709056505905, 0.06353439451867585]}])
+    code, out, _ = run(["witness", path], capsys)
+    assert code == 0
+    assert strict_json(out)["report"]["certified"] is True
+
+
 TANGENT_PAIR = [{"prior": 0.19276355112477117, "moments": [-6191.5, 5038334672.25]},
                 {"prior": 0.8072364488752288, "moments": [169.47, 28720.08090000039]}]
 
@@ -568,7 +588,7 @@ def assert_rows_match_one_row_calls(mu2s, s1, s2s, p1, p2):
     mass = mm.shared_mass([np.stack([ones, 0.0 * ones, s1 * ones], axis=-1),
                            np.stack([ones, mu2, mu2 * mu2 + s2], axis=-1)])
     low = _two_class_rows((p1, p2), mass)[3]
-    up, s_star, clipped = _upper_rows((p1, p2), mass.mean, mass.var)
+    up, s_star, clipped = _upper_rows((p1, p2), mass)
     for i, (m, v) in enumerate(zip(mu2.tolist(), s2.tolist())):
         one = [ClassSpec(p1, 0.0, s1), ClassSpec(p2, m, m * m + v)]
         ub = upper_bound(*one)
@@ -703,8 +723,8 @@ def test_bound_report_is_the_public_path(n):
 def test_bound_standardizes_each_class_once(tmp_path, capsys, monkeypatch):
     # an n = 5 bound on two eight-atom classes: one frame per class gives its
     # verdict and its shared-mass map, built once from moments (every map from
-    # moments passes _shared_mass); the upper bound builds none, reading the
-    # two classes' means and variances itself
+    # moments passes _shared_mass); the upper bound builds the two classes'
+    # two-moment map, which takes no frame
     passes, maps = [], []
     standardize, build = mm._standardize, mm._shared_mass
     monkeypatch.setattr(mm, "_standardize",
@@ -719,4 +739,4 @@ def test_bound_standardizes_each_class_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["bound", write_problem(tmp_path, classes)], capsys)
     assert code == 0 and json.loads(out)["upper"] is not None
     assert passes == [6, 6]
-    assert maps == [(2, 6)]
+    assert maps == [(2, 6), (2, 1, 3)]

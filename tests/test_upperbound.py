@@ -25,6 +25,13 @@ def worst_error_vec(c1, c2, s):
     return _worst_error_vec((c1.prior, c2.prior), s, tails)
 
 
+def two_moment_map(means, variances):
+    """The two-moment map of (2, rows) means and variances, built by
+    ``shared_mass`` from [1, m, m^2 + v] as ``bound`` builds it."""
+    m, v = np.asarray(means, dtype=float), np.asarray(variances, dtype=float)
+    return shared_mass(np.stack([np.ones_like(m), m, m * m + v], axis=-1))
+
+
 def worst_error(c1, c2, s):
     return float(worst_error_vec(c1, c2, np.array([s]))[0, 0])
 
@@ -301,8 +308,37 @@ def test_upper_rows_decide_a_row_as_a_batch_does(priors, scale, center, gap, up,
     m1 = center * unit
     m2 = m1 if gap is None else m1 + math.copysign(10.0 ** gap * unit, 1.0 if up else -1.0)
     v = [0.0 if e is None else 10.0 ** e * unit * unit for e in variances]
-    alone = _upper_rows(priors, [m1, m2], v)
-    batch = _upper_rows(priors, [[0.0, m1], [100.0, m2]], [[1.0, v[0]], [1.0, v[1]]])
+    alone = _upper_rows(priors, two_moment_map([[m1], [m2]], [[v[0]], [v[1]]]))
+    batch = _upper_rows(priors, two_moment_map([[0.0, m1], [100.0, m2]],
+                                               [[1.0, v[0]], [1.0, v[1]]]))
     assert not batch[2][0, 0]  # the open row
     for one, rows in zip(alone, batch):
         assert one[0, 0] == rows[1, 0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.05, 0.95),
+       st.lists(st.tuples(st.floats(0.7, 1.3), st.floats(0.7, 1.3),
+                          st.just(None) | st.floats(-300.0, 307.0),
+                          st.just(None) | st.floats(-300.0, 307.0)), min_size=1, max_size=4))
+def test_gap_squared_overflow_reads_the_maps_class_units(p1, pairs):
+    # means near -1e154 and +1e154: every raw moment is finite, but the squared
+    # gap overflows, and the floor and the candidates read the map's tail in
+    # units of each class's sd. Row 0 of the batch is open, so its candidates
+    # are solved next to the rows the floor decides.
+    priors = (p1, 1.0 - p1)
+    rows = [(0.0, 10.0, 1.0, 1.0)] + [
+        (-a * 1e154, b * 1e154, *(0.0 if e is None else 10.0 ** e for e in exps))
+        for a, b, *exps in pairs]
+    m1, m2, v1, v2 = zip(*rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = _upper_rows(priors, two_moment_map([m1, m2], [v1, v2]))
+        assert not batch[2][0, 0]
+        for r in range(1, len(rows)):
+            c1, c2 = make_class(p1, m1[r], v1[r]), make_class(1.0 - p1, m2[r], v2[r])
+            res = upper_bound(c1, c2)
+            assert res.value <= min(priors)
+            if math.isfinite(res.s_star):
+                assert worst_error(c1, c2, res.s_star) == res.value
+            assert (res.value, res.s_star, res.clipped) == tuple(col[r, 0] for col in batch)

@@ -15,8 +15,9 @@ from momentbounds import (
     lower_bound,
     verify_witness,
 )
-from momentbounds.moments import moments_of, shift_moments
+from momentbounds.moments import moments_of, shared_mass, shift_moments
 from momentbounds.witness import build_witness, discrete_bayes_error
+from test_lowerbound import pinned_and_regular_classes
 
 
 def make_class(prior, mean, var):
@@ -143,6 +144,27 @@ def test_verify_witness_all_point_masses():
         assert report.certified
         assert [m.atoms for m in report.measures] == [((0.0, 1.0),), ((0.0, 1.0),),
                                                       ((1.0, 1.0),)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_pinned_class_witness_is_its_maps_atoms(G, n, seed):
+    # every problem holds a point mass, and for n >= 4 a two-atom class the map
+    # pins too: each class its shared-mass map pins has one measure, the map's
+    # atoms, and that is its witness, whatever epsilon the bound gave it
+    rng = np.random.default_rng(seed)
+    priors = rng.dirichlet(np.full(G, 2.0))
+    classes = [ClassSpec.from_moments(p, seq[1:])
+               for p, seq in zip(priors, pinned_and_regular_classes(rng, G, n))]
+    atoms = shared_mass([c.moment_sequence(n) for c in classes]).atoms
+    report = verify_witness(classes, n)
+    pinned = 0
+    for i, measure in enumerate(report.measures):
+        own = [(float(x[i, 0]), float(w[i, 0])) for x, w in atoms if not np.isnan(x[i, 0])]
+        if own:
+            pinned += 1
+            assert measure.atoms == tuple(sorted(own)), (n, i)
+    assert pinned >= (2 if n >= 4 else 1)
 
 
 def test_verify_witness_randomized_two_moment():
